@@ -24,7 +24,7 @@ from .observables import GeometrySpec
 from .operators import CommutationTable, VacuumRules
 from .ring import Bicomplex
 from .states import (asymptotic_state_finite, asymptotic_state_infinite,
-                     evolve_vacuum, norm_preservation, schmidt_rank)
+                     evolve_vacuum, norm_deviation, schmidt_rank)
 
 DEFAULT_CONFIG = {
     "m": 1.0,
@@ -55,14 +55,59 @@ def load_config(path: str | None) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         for key, value in user.items():
             if key not in DEFAULT_CONFIG:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = value
-    for key in ("m", "gamma", "delta_k"):
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"config {key} must be finite")
+    _check_config(cfg)
     return cfg
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_count(value, least: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least)
+
+
+def _check_config(cfg: dict) -> None:
+    """Raise ConfigError unless every key has a type and range the verbs take."""
+    for key in ("m", "gamma", "delta_k"):
+        if not _is_real(cfg[key]):
+            raise ConfigError(f"config {key} must be a finite number")
+    if cfg["m"] < 0 or cfg["gamma"] < 0:
+        raise ConfigError("config m and gamma must be nonnegative")
+    if cfg["delta_k"] <= 0:
+        raise ConfigError("config delta_k must be positive")
+    for key, least in (("N", 1), ("dim", 1), ("truncation_order", 0)):
+        if not _is_count(cfg[key], least):
+            raise ConfigError(f"config {key} must be an integer >= {least}")
+    if not isinstance(cfg["stagger"], bool):
+        raise ConfigError("config stagger must be true or false")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError("config output_dir must be a string")
+    for key in ("rho", "sigma"):
+        rows = cfg[key]
+        if not (isinstance(rows, list) and len(rows) == 4 and all(
+                isinstance(row, list) and len(row) == 4
+                and all(_is_real(c) for c in row) for row in rows)):
+            raise ConfigError(
+                f"config {key} must be 4 rows of 4 finite numbers")
+    geom = cfg["geometry"]
+    if not (isinstance(geom, dict) and "kind" in geom
+            and set(geom) <= {"kind", "L1", "L2"}
+            and all(_is_real(geom[key]) for key in ("L1", "L2") if key in geom)):
+        raise ConfigError("config geometry must be an object with a kind and "
+                          "optional finite numbers L1, L2")
+    try:
+        _geometry(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"config geometry: {exc}") from exc
 
 
 def _params(cfg: dict) -> FieldParams:
@@ -204,7 +249,7 @@ def cmd_evolve(args, cfg: dict) -> int:
     state = evolve_vacuum(args.t, order, params, geom, table, rules)
     out = args.output or os.path.join(cfg["output_dir"], "evolved_state.json")
     _write_json(out, state.to_jsonable())
-    dev = norm_preservation(args.t, order, params, geom, table, rules)
+    dev = norm_deviation(state)
     part = {table.momentum_indices()[0]}
     rank = schmidt_rank(state, part)
     print(f"t={args.t} order={order} kets={len(state.amplitudes)} "

@@ -9,12 +9,18 @@ B_sum = J+ (rho1 + conj rho4) + J- (conj rho1 + rho4):
     [Omega, Pi]     = -i B_sum Integral omega_k e^{i k dx} dk
                     =  2 i B_sum (M/|dx|) K1(M |dx|)        (M^2 > 0, 1d)
 
-All three follow mechanically from the commutation table; the symbolic
-lattice route (build the field operators as OperatorPoly and commute) and
-the regularized-quadrature route are kept as independent cross-checks of
-the closed forms.  Weighted variants use the 1/sqrt(omega_k) measure and
-swap the kernels around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain
-delta for [Omega,Pi]).
+All three follow mechanically from the commutation table; the lattice
+route and the regularized-quadrature route are kept as independent
+cross-checks of the closed forms.  The lattice route builds Omega and Pi
+as OperatorPolys and contracts them term by term: both are linear in the
+ladder operators and every ladder commutator is a central ring scalar,
+so [A, B] = sum_pq a_p b_q [op_p, op_q] holds exactly, and the table
+leaves only the pairs on the momentum diagonal (rho) and anti-diagonal
+(sigma).  The cost is linear in the number of lattice modes.
+
+Weighted variants use the 1/sqrt(omega_k) measure and swap the kernels
+around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
+[Omega,Pi]).
 
 An alternative closed-form convention (difference bracket, squared-mass
 Bessel argument) circulates for these commutators; it is reproducible
@@ -34,7 +40,7 @@ from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1, y1 as _scipy_y1
 
 from .errors import DomainError, NonConvergent
 from .modes import FieldParams, omega
-from .operators import CommutationTable, ModeOp, OperatorPoly, normal_order
+from .operators import CommutationTable, ModeOp, OperatorPoly, commutator
 from .ring import Bicomplex, J_MINUS, J_PLUS
 
 TWO_PI = 2.0 * math.pi
@@ -178,10 +184,21 @@ def momentum_operator_poly(x: float, t: float, params: FieldParams,
 def lattice_commutator(which: str, x: float, xprime: float, t: float,
                        params: FieldParams, table: CommutationTable,
                        weighted: bool = False) -> Bicomplex:
-    """Equal-time commutator evaluated symbolically on the lattice.
+    """Equal-time commutator evaluated on the lattice as a contraction.
 
-    which is one of 'omega_omega', 'pi_pi', 'omega_pi'.  The result of the
-    operator commutator must be central; its scalar part is returned.
+    which is one of 'omega_omega', 'pi_pi', 'omega_pi'.  Both operands are
+    linear in the ladder operators, A = sum_p a_p op_p and B = sum_q b_q
+    op_q, and every [op_p, op_q] is a central ring element, so
+
+        [A, B] = sum_pq a_p b_q [op_p, op_q]
+
+    exactly, with no word products and no normal ordering.  The table
+    makes [op_p, op_q] vanish unless q sits at p's momentum index (rho
+    terms) or at its mirror, the index of momentum -k (sigma terms), so
+    each left term meets at most eight right terms: the cost is linear in
+    the lattice size.  Raises ArithmeticError when an operand has a word
+    that is not a single ladder operator, the case where the sum would
+    not be central.
     """
     if which == "omega_omega":
         left = field_operator_poly(x, t, params, table, weighted)
@@ -194,12 +211,29 @@ def lattice_commutator(which: str, x: float, xprime: float, t: float,
         right = momentum_operator_poly(xprime, t, params, table, weighted)
     else:
         raise ValueError(f"unknown commutator {which!r}")
-    comm = normal_order(left.commutator_with(right), table)
-    scalar = comm.scalar_part()
-    rest = OperatorPoly({w: c for w, c in comm.terms.items() if w != ()})
-    if not rest.is_zero(tol=1e-9 * max(1.0, scalar.norm())):
-        raise ArithmeticError("field commutator is not central")
-    return scalar
+    by_index: dict = {}
+    for op, b in _linear_terms(right):
+        by_index.setdefault(op.index, []).append((op, b))
+    total = Bicomplex.zero()
+    for op, a in _linear_terms(left):
+        i = op.index
+        mirror = -i - 1 if table.stagger else -i
+        for j in ((i, mirror) if mirror != i else (i,)):
+            for op2, b in by_index.get(j, ()):
+                c = commutator(op, op2, table)
+                if not c.is_zero():
+                    total = total + a * b * c
+    return total
+
+
+def _linear_terms(poly: OperatorPoly):
+    """(ladder operator, coefficient) pairs of a poly linear in the ladders."""
+    for word, coeff in poly.terms.items():
+        if len(word) != 1:
+            raise ArithmeticError(
+                f"lattice_commutator needs operands linear in the ladder "
+                f"operators, got the word {list(word)}")
+        yield word[0], coeff
 
 
 def lattice_delta_profile(dx: float, table: CommutationTable) -> complex:

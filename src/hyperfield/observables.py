@@ -122,14 +122,15 @@ def hamiltonian_poly(params: FieldParams, geom: GeometrySpec,
     for i, j, w in hamiltonian_terms(params, geom, table, t):
         c = Bicomplex.from_complex(w)
         cc = Bicomplex.from_complex(w.conjugate())
-        total = total + anticommutator(
-            ModeOp("a1", i, False), ModeOp("b1", j, False)).scale(J_PLUS * c)
-        total = total + anticommutator(
-            ModeOp("b2", j, False), ModeOp("a2", i, False)).scale(J_MINUS * c)
-        total = total + anticommutator(
-            ModeOp("a1", i, True), ModeOp("b1", j, True)).scale(J_MINUS * cc)
-        total = total + anticommutator(
-            ModeOp("b2", j, True), ModeOp("a2", i, True)).scale(J_PLUS * cc)
+        _merge_all(total, (
+            anticommutator(ModeOp("a1", i, False),
+                           ModeOp("b1", j, False)).scale(J_PLUS * c),
+            anticommutator(ModeOp("b2", j, False),
+                           ModeOp("a2", i, False)).scale(J_MINUS * c),
+            anticommutator(ModeOp("a1", i, True),
+                           ModeOp("b1", j, True)).scale(J_MINUS * cc),
+            anticommutator(ModeOp("b2", j, True),
+                           ModeOp("a2", i, True)).scale(J_PLUS * cc)))
     return total
 
 
@@ -145,15 +146,27 @@ def charge_poly(params: FieldParams, table: CommutationTable) -> OperatorPoly:
     for i in table.momentum_indices():
         w = omega(table.momentum(i), params)
         c = Bicomplex.from_complex(-2j * dk * w)
-        total = total + anticommutator(
-            ModeOp("a1", i, False), ModeOp("b1", i, False)).scale(J_PLUS * c)
-        total = total + anticommutator(
-            ModeOp("a1", i, True), ModeOp("b1", i, True)).scale(J_MINUS * c)
-        total = total + anticommutator(
-            ModeOp("b2", i, True), ModeOp("a2", i, True)).scale(J_PLUS * (-1.0 * c))
-        total = total + anticommutator(
-            ModeOp("b2", i, False), ModeOp("a2", i, False)).scale(J_MINUS * (-1.0 * c))
+        _merge_all(total, (
+            anticommutator(ModeOp("a1", i, False),
+                           ModeOp("b1", i, False)).scale(J_PLUS * c),
+            anticommutator(ModeOp("a1", i, True),
+                           ModeOp("b1", i, True)).scale(J_MINUS * c),
+            anticommutator(ModeOp("b2", i, True),
+                           ModeOp("a2", i, True)).scale(J_PLUS * (-1.0 * c)),
+            anticommutator(ModeOp("b2", i, False),
+                           ModeOp("a2", i, False)).scale(J_MINUS * (-1.0 * c))))
     return total
+
+
+def _merge_all(total: OperatorPoly, parts) -> None:
+    """Add each part's terms into total's own dict, in order.
+
+    Gives the terms and insertion order of total + part + ..., without
+    copying the running sum on every addition.
+    """
+    for part in parts:
+        for word, coeff in part.terms.items():
+            total._merged(word, coeff, total.terms)
 
 
 def charge_density_classical(phi1: float, phi2: float, psi1: float, psi2: float,

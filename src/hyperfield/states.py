@@ -198,7 +198,12 @@ def norm_preservation(t: float, order: int, params: FieldParams,
     (conj(J+ c) J+ c = 0), so the deviation vanishes identically at every
     truncation order; the returned float records the numerical residue.
     """
-    state = evolve_vacuum(t, order, params, geom, table, rules, basis_cap)
+    return norm_deviation(
+        evolve_vacuum(t, order, params, geom, table, rules, basis_cap))
+
+
+def norm_deviation(state: StateVector) -> float:
+    """|<state|state> - 1| in the ring pairing (see norm_preservation)."""
     return (state.inner(state) - Bicomplex.one()).norm()
 
 

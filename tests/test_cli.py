@@ -139,6 +139,20 @@ class TestConfig:
         r = run_cli(["--config", str(cfg), "ring-check"], tmp_path)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("config", [
+        [1], {"m": "abc"}, {"delta_k": 0}, {"N": -3},
+        {"geometry": {"kind": "torus"}}, {"rho": [[1, 0]]}, {"stagger": "no"},
+    ], ids=["list", "m_string", "delta_k_zero", "N_negative",
+            "geometry_torus", "rho_short_row", "stagger_string"])
+    def test_malformed_config_is_usage_error(self, tmp_path, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        r = run_cli(["--config", str(cfg), "evolve", "--t", "0.1",
+                     "--order", "1"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ")
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"m": 2.0, "gamma": 0.0}))

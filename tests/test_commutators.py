@@ -11,12 +11,14 @@ from hyperfield.commutators import (KERNEL_DELTA, KERNEL_DELTA2_M2,
                                     commutator_omega_pi_m0_limit,
                                     commutator_omega_pi_quadrature,
                                     commutator_pi_pidagger,
-                                    difference_bracket, figure_data,
-                                    lattice_commutator, sum_bracket,
+                                    difference_bracket, field_operator_poly,
+                                    figure_data, lattice_commutator,
+                                    momentum_operator_poly, sum_bracket,
                                     weighted_commutators, weighted_quadrature)
 from hyperfield.errors import DomainError, NonConvergent
-from hyperfield.modes import FieldParams
-from hyperfield.operators import CommutationTable, generic_table
+from hyperfield.modes import FieldParams, omega
+from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
+                                  generic_table, normal_order)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
 
@@ -144,6 +146,87 @@ class TestLatticeRoute:
         v0 = lattice_commutator("omega_omega", 0.3, 1.1, 0.0, p, ts)
         v1 = lattice_commutator("omega_omega", 0.3, 1.1, 1.0, p, ts)
         assert not v0.is_close(v1, 1e-9)
+
+
+SIGMA = (Bicomplex(0.3, 0.1, -0.2, 0.05),) * 4
+
+
+def oracle_tables(rho_table):
+    """Small tables covering every commutation rule the contraction uses."""
+    rho = rho_table.rho
+    callable_rho = (lambda k, kp: Bicomplex(1.0 + k * k, 0.1 * k, 0.0, 0.0),
+                    Bicomplex.zero(), Bicomplex.zero(),
+                    lambda k, kp: Bicomplex(0.3, 0.0, 0.1 * k, 0.0))
+    return {
+        "generic": generic_table(delta_k=0.3, N=4),
+        "rho": rho_table,
+        "sigma": CommutationTable(rho=rho, sigma=SIGMA, delta_k=0.25, N=4),
+        "sigma_staggered": CommutationTable(rho=rho, sigma=SIGMA, delta_k=0.25,
+                                            N=4, stagger=True),
+        "callable_rho": CommutationTable(rho=callable_rho, delta_k=0.25, N=4),
+    }
+
+
+def normal_ordered_commutator(which, x, xp, t, p, table, weighted):
+    """normal_order(A B - B A): multiply out every word, then rewrite."""
+    field = field_operator_poly if which != "pi_pi" else momentum_operator_poly
+    left = field(x, t, p, table, weighted)
+    if which == "omega_pi":
+        right = momentum_operator_poly(xp, t, p, table, weighted)
+    else:
+        right = field(xp, t, p, table, weighted).adjoint()
+    return normal_order(left.commutator_with(right), table)
+
+
+class TestLatticeContraction:
+    @pytest.mark.parametrize("name", ["generic", "rho", "sigma",
+                                      "sigma_staggered", "callable_rho"])
+    def test_matches_normal_ordered_route(self, rho_table, name):
+        table = oracle_tables(rho_table)[name]
+        p = FieldParams(m=1.3, gamma=0.7)
+        for which in ("omega_omega", "pi_pi", "omega_pi"):
+            for weighted in (False, True):
+                comm = normal_ordered_commutator(which, 0.3, -0.8, 1.1, p,
+                                                 table, weighted)
+                # the normal form of [A, B] is central: nothing but ()
+                assert set(comm.terms) <= {()}
+                want = comm.scalar_part()
+                got = lattice_commutator(which, 0.3, -0.8, 1.1, p, table,
+                                         weighted)
+                assert want.norm() > 0.1
+                assert (got - want).norm() <= 1e-13 * want.norm()
+
+    def test_129_modes_against_lattice_sum(self):
+        # generic table: both brackets are 1, so each commutator is
+        # factor * dk sum_k omega_k^power e^{i k (x - x')}
+        table = generic_table(delta_k=0.1, N=64)
+        p = FieldParams(m=1.1, gamma=0.6)
+        x, xp = 0.4, -0.9
+        ks = [table.momentum(i) for i in table.momentum_indices()]
+        assert len(ks) == 129
+        for which, weighted, factor, power in (
+                ("omega_omega", False, 1.0, 0), ("omega_omega", True, 1.0, -1),
+                ("pi_pi", False, -1.0, 2), ("pi_pi", True, -1.0, 1),
+                ("omega_pi", False, -1j, 1), ("omega_pi", True, -1j, 0)):
+            terms = [omega(k, p) ** power for k in ks]
+            want = factor * table.delta_k * sum(
+                w * cmath.exp(1j * k * (x - xp)) for k, w in zip(ks, terms))
+            scale = table.delta_k * sum(abs(w) for w in terms)
+            got = lattice_commutator(which, x, xp, 2.5, p, table, weighted)
+            assert (got - Bicomplex.from_complex(want)).norm() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("builder", ["field_operator_poly",
+                                         "momentum_operator_poly"])
+    def test_two_operator_word_raises(self, monkeypatch, rho_table, builder):
+        # [Omega, Pi]: patching Omega spoils the left operand, Pi the right
+        import hyperfield.commutators as fc
+        linear = getattr(fc, builder)
+        pair = OperatorPoly.from_word((ModeOp("a1", 0), ModeOp("b1", 0)))
+        monkeypatch.setattr(fc, builder,
+                            lambda *args: linear(*args) + pair)
+        with pytest.raises(ArithmeticError):
+            lattice_commutator("omega_pi", 0.3, 1.1, 0.5,
+                               FieldParams(m=1.0), rho_table)
 
 
 class TestQuadratureOracle:
