@@ -2,13 +2,14 @@
 
 Verbs: ring-check, commutator, evolve, asymptotic, verify.  A JSON config
 file supplies defaults (field parameters, lattice, rho table); explicit
-flags override config keys.  Exit codes: 0 pass, 1 criterion/property
-failure, 2 usage or config error.
+flags override config keys and go through the same checks.  Exit codes:
+0 pass, 1 criterion/property failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from .states import (asymptotic_state_finite, asymptotic_state_infinite,
 DEFAULT_CONFIG = {
     "m": 1.0,
     "gamma": 0.5,
-    "dim": 1,
     "geometry": {"kind": "infinite_line", "L1": -1.0, "L2": 1.0},
     "rho": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
@@ -39,7 +39,6 @@ DEFAULT_CONFIG = {
     "stagger": True,
     "truncation_order": 3,
     "output_dir": ".",
-    "seed": 0,
 }
 
 
@@ -47,8 +46,10 @@ class ConfigError(Exception):
     pass
 
 
-def load_config(path: str | None) -> dict:
+def load_config(args: argparse.Namespace) -> dict:
+    """Defaults, overridden by the --config keys, then by the flags; all checked."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    path = args.config
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -62,7 +63,27 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = value
     _check_config(cfg)
+    _override(cfg, args)
+    _check_config(cfg)
     return cfg
+
+
+def _override(cfg: dict, args: argparse.Namespace) -> None:
+    """Write the verb's flags over the config keys they stand for."""
+    for flag, key in (("m", "m"), ("gamma", "gamma"),
+                      ("order", "truncation_order")):
+        if getattr(args, flag, None) is not None:
+            cfg[key] = getattr(args, flag)
+    geometry = getattr(args, "geometry", None)
+    if geometry == "infinite":
+        cfg["geometry"] = {"kind": "infinite_line"}
+    elif geometry == "finite":
+        # evolve's interval defaults to [-1, 1], asymptotic's to the config's
+        base = cfg["geometry"] if args.verb == "asymptotic" else {}
+        cfg["geometry"] = {
+            "kind": "finite_interval",
+            "L1": args.L1 if args.L1 is not None else base.get("L1", -1.0),
+            "L2": args.L2 if args.L2 is not None else base.get("L2", 1.0)}
 
 
 def _is_real(value) -> bool:
@@ -79,14 +100,14 @@ def _check_config(cfg: dict) -> None:
     """Raise ConfigError unless every key has a type and range the verbs take."""
     for key in ("m", "gamma", "delta_k"):
         if not _is_real(cfg[key]):
-            raise ConfigError(f"config {key} must be a finite number")
+            raise ConfigError(f"{key} must be a finite number")
     if cfg["m"] < 0 or cfg["gamma"] < 0:
-        raise ConfigError("config m and gamma must be nonnegative")
+        raise ConfigError("m and gamma must be nonnegative")
     if cfg["delta_k"] <= 0:
         raise ConfigError("config delta_k must be positive")
-    for key, least in (("N", 1), ("dim", 1), ("truncation_order", 0)):
+    for key, least in (("N", 1), ("truncation_order", 0)):
         if not _is_count(cfg[key], least):
-            raise ConfigError(f"config {key} must be an integer >= {least}")
+            raise ConfigError(f"{key} must be an integer >= {least}")
     if not isinstance(cfg["stagger"], bool):
         raise ConfigError("config stagger must be true or false")
     if not isinstance(cfg["output_dir"], str):
@@ -107,11 +128,23 @@ def _check_config(cfg: dict) -> None:
     try:
         _geometry(cfg)
     except ValueError as exc:
-        raise ConfigError(f"config geometry: {exc}") from exc
+        raise ConfigError(f"geometry: {exc}") from exc
+
+
+def _times(text: str) -> list[float]:
+    """The comma-separated times of --t-values, each a finite number."""
+    try:
+        times = [float(v) for v in text.split(",")]
+        if all(_is_real(t) for t in times):
+            return times
+    except ValueError:
+        pass
+    raise ConfigError(f"--t-values must be comma-separated finite numbers, "
+                      f"got {text!r}")
 
 
 def _params(cfg: dict) -> FieldParams:
-    return FieldParams(m=cfg["m"], gamma=cfg["gamma"], dim=cfg["dim"])
+    return FieldParams(m=cfg["m"], gamma=cfg["gamma"])
 
 
 def _table(cfg: dict) -> CommutationTable:
@@ -134,23 +167,18 @@ def _warn_lattice_span(cfg: dict) -> None:
               f"recommended {need:.3g}", file=sys.stderr)
 
 
-def _write_csv(path: str, rows) -> None:
+def _write(path: str, chunks) -> None:
+    """Stream text chunks to path; large state dumps are never one string."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,re,im\n")
-            for x, re, im in rows:
-                fh.write(f"{x:.12g},{re:.12g},{im:.12g}\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str, payload) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    _write(path, itertools.chain(encoder.iterencode(payload), "\n"))
 
 
 # -- verbs -------------------------------------------------------------------
@@ -174,60 +202,42 @@ def cmd_ring_check(args) -> int:
     return 0
 
 
-_WHICH_MAP = {
-    "omega-omega": ("omega_omega", False),
-    "pi-pi": ("pi_pi", False),
-    "omega-pi": ("omega_pi", False),
-    "w-omega-omega": ("omega_omega", True),
-    "w-pi-pi": ("pi_pi", True),
-    "w-omega-pi": ("omega_pi", True),
-}
+# Bessel-kernel verbs and the figure whose sweep they write; the other
+# verbs are delta-type kernels sampled on the lattice
+_FIGURE_OF = {"omega-pi": "fig1", "w-omega-omega": "fig6", "w-pi-pi": "fig7"}
+_VERBS = ("omega-omega", "omega-pi", "pi-pi",
+          "w-omega-omega", "w-omega-pi", "w-pi-pi")
 
 
 def cmd_commutator(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
-    _warn_lattice_span(cfg)
     if args.steps < 1:
         raise ConfigError("empty sweep: --steps must be >= 1")
-    which, weighted = _WHICH_MAP[args.which]
-    xs = [args.x_min + (args.x_max - args.x_min) * i / max(args.steps - 1, 1)
-          for i in range(args.steps)]
-    rows = []
-    if not weighted and which == "omega_pi":
-        rows = figure_data("fig1", (args.x_min, args.x_max, args.steps),
-                           params, table)
-    elif weighted and which in ("omega_omega", "pi_pi"):
-        fig = "fig6" if which == "omega_omega" else "fig7"
-        rows = figure_data(fig, (args.x_min, args.x_max, args.steps),
-                           params, table)
+    if args.which in _FIGURE_OF:
+        rows = figure_data(_FIGURE_OF[args.which],
+                           (args.x_min, args.x_max, args.steps), params, table)
     else:
         # delta-type kernels: emit coefficient times the lattice delta profile
-        if not weighted and which == "omega_omega":
+        _warn_lattice_span(cfg)
+        weight = None
+        if args.which == "omega-omega":
             coeff = commutator_omega_omegadagger(table).coefficient
-            for dx in xs:
-                prof = lattice_delta_profile(dx, table)
-                val = (coeff * Bicomplex.from_complex(prof)).plus()
-                rows.append((dx, val.real, val.imag))
-        elif not weighted and which == "pi_pi":
-            res = commutator_pi_pidagger(table, params)
-            for dx in xs:
-                prof = table.delta_k * sum(
-                    (-table.momentum(i) ** 2 - params.m2_mod)
-                    * complex(math.cos(table.momentum(i) * dx),
-                              math.sin(table.momentum(i) * dx))
-                    for i in table.momentum_indices())
-                val = (res.delta2_coeff * Bicomplex.from_complex(prof)).plus()
-                rows.append((dx, val.real, val.imag))
-        else:  # weighted omega-pi
+        elif args.which == "pi-pi":
+            coeff = commutator_pi_pidagger(table, params).delta2_coeff
+            weight = lambda k: -k ** 2 - params.m2_mod
+        else:
             coeff = weighted_commutators("omega_pi", 1.0, params, table).coefficient
-            for dx in xs:
-                prof = lattice_delta_profile(dx, table)
-                val = (coeff * Bicomplex.from_complex(prof)).plus()
-                rows.append((dx, val.real, val.imag))
+        rows = []
+        for i in range(args.steps):
+            dx = args.x_min + (args.x_max - args.x_min) * i / max(args.steps - 1, 1)
+            prof = lattice_delta_profile(dx, table, weight)
+            val = (coeff * Bicomplex.from_complex(prof)).plus()
+            rows.append((dx, val.real, val.imag))
     out = args.output or os.path.join(cfg["output_dir"],
                                       f"commutator_{args.which}.csv")
-    _write_csv(out, rows)
+    _write(out, itertools.chain(["x,re,im\n"], (
+        f"{x:.12g},{re:.12g},{im:.12g}\n" for x, re, im in rows)))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -235,16 +245,11 @@ def cmd_commutator(args, cfg: dict) -> int:
 def cmd_evolve(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
+    if not _is_real(args.t):
+        raise ConfigError("--t must be a finite number")
     _warn_lattice_span(cfg)
     geom = _geometry(cfg)
-    if args.geometry:
-        if args.geometry == "finite":
-            geom = GeometrySpec("finite_interval",
-                                args.L1 if args.L1 is not None else -1.0,
-                                args.L2 if args.L2 is not None else 1.0)
-        else:
-            geom = GeometrySpec("infinite_line")
-    order = args.order if args.order is not None else cfg["truncation_order"]
+    order = cfg["truncation_order"]
     rules = VacuumRules.constrained_rules()
     state = evolve_vacuum(args.t, order, params, geom, table, rules)
     out = args.output or os.path.join(cfg["output_dir"], "evolved_state.json")
@@ -266,11 +271,11 @@ def cmd_evolve(args, cfg: dict) -> int:
 def cmd_asymptotic(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
+    ts = _times(args.t_values) if args.t_values else [0.0, 1.0, 10.0, 100.0]
     _warn_lattice_span(cfg)
-    order = args.order if args.order is not None else cfg["truncation_order"]
+    order = cfg["truncation_order"]
     if args.geometry == "finite":
-        L1 = args.L1 if args.L1 is not None else cfg["geometry"].get("L1", -1.0)
-        L2 = args.L2 if args.L2 is not None else cfg["geometry"].get("L2", 1.0)
+        L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
         state = asymptotic_state_finite(order, params, L1, L2, table)
         out = args.output or os.path.join(cfg["output_dir"],
                                           "asymptotic_state.json")
@@ -280,8 +285,6 @@ def cmd_asymptotic(args, cfg: dict) -> int:
               f"schmidt_rank={schmidt_rank(state, part)}")
         print(f"wrote state to {out}")
         return 0
-    ts = [float(v) for v in args.t_values.split(",")] if args.t_values \
-        else [0.0, 1.0, 10.0, 100.0]
     diags = asymptotic_state_infinite(ts, params, table)
     out = args.output or os.path.join(cfg["output_dir"],
                                       "asymptotic_diagnostics.json")
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=argparse.SUPPRESS)
 
     cm = sub.add_parser("commutator", help="sweep a field commutator to CSV")
-    cm.add_argument("--which", required=True, choices=sorted(_WHICH_MAP))
+    cm.add_argument("--which", required=True, choices=_VERBS)
     cm.add_argument("--m", type=float)
     cm.add_argument("--gamma", type=float)
     cm.add_argument("--x-min", type=float, default=0.1)
@@ -359,11 +362,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        for key in ("m", "gamma"):
-            override = getattr(args, key, None)
-            if override is not None:
-                cfg[key] = override
+        cfg = load_config(args)
         if args.verb == "ring-check":
             return cmd_ring_check(args)
         if args.verb == "commutator":

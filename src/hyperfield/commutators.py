@@ -22,10 +22,10 @@ Weighted variants use the 1/sqrt(omega_k) measure and swap the kernels
 around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
 [Omega,Pi]).
 
-An alternative closed-form convention (difference bracket, squared-mass
-Bessel argument) circulates for these commutators; it is reproducible
-through ``alt_form=True`` for comparison plots but is not validated by
-the quadrature oracle.
+The unweighted and weighted quadrature oracles share one regulated
+Simpson/Richardson rule and differ only in their integrands.  A per-mode
+weight turns the lattice delta profile into delta'' - M^2 delta for
+[Pi, Pi+].  Every kernel is derived for one spatial dimension.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1, y1 as _scipy_y1
 
 from .errors import DomainError, NonConvergent
 from .modes import FieldParams, omega
-from .operators import CommutationTable, ModeOp, OperatorPoly, commutator
+from .operators import (CommutationTable, ModeOp, OperatorPoly, commutator,
+                        generic_table)
 from .ring import Bicomplex, J_MINUS, J_PLUS
 
 TWO_PI = 2.0 * math.pi
@@ -79,7 +80,6 @@ KERNEL_DELTA = "delta"
 KERNEL_DELTA2_M2 = "delta_second_derivative_minus_M2_delta"
 KERNEL_K1_OVER_DX = "bessel_K1_over_dx"
 KERNEL_K0 = "bessel_K0"
-KERNEL_DIVERGENT = "divergent"
 
 
 @dataclass(frozen=True)
@@ -236,10 +236,17 @@ def _linear_terms(poly: OperatorPoly):
         yield word[0], coeff
 
 
-def lattice_delta_profile(dx: float, table: CommutationTable) -> complex:
-    """Lattice realization delta_k * sum_k e^{i k dx} of (2 pi) delta(dx)."""
-    return table.delta_k * sum(
-        cmath.exp(1j * table.momentum(i) * dx) for i in table.momentum_indices())
+def lattice_delta_profile(dx: float, table: CommutationTable,
+                          weight: Optional[Callable] = None) -> complex:
+    """Lattice realization delta_k * sum_k e^{i k dx} of (2 pi) delta(dx).
+
+    weight(k), when given, multiplies each mode: -k^2 - M^2 realizes
+    (2 pi) (delta'' - M^2 delta)(dx).
+    """
+    ks = [table.momentum(i) for i in table.momentum_indices()]
+    if weight is None:
+        return table.delta_k * sum(cmath.exp(1j * k * dx) for k in ks)
+    return table.delta_k * sum(weight(k) * cmath.exp(1j * k * dx) for k in ks)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +272,29 @@ class QuadratureSpec:
             raise ValueError("extrapolation_steps must be >= 2")
 
 
-def _auto_epsilon(dx: float) -> float:
-    # keep exp(-dx^2 / 4 eps) below ~1e-70 while keeping the O(eps) term,
-    # whose coefficient grows like 1/dx^4, small enough for extrapolation
-    return min(dx * dx / 660.0, 2e-3)
+def _regularized_integral(adx: float, spec: QuadratureSpec, kshift: float,
+                          integrand) -> float:
+    """2 Int_0^inf integrand(s) ds, regulated by e^{-eps s^2}, eps -> 0.
+
+    Simpson's rule on [0, sqrt(40 / eps) + kshift] for a halving sequence
+    of eps, then Richardson extrapolation of the sequence.
+    """
+    # without a given regulator, keep exp(-dx^2 / 4 eps) below ~1e-70 while
+    # keeping the O(eps) term, whose coefficient grows like 1/dx^4, small
+    # enough for extrapolation
+    eps0 = spec.regulator_epsilon or min(adx * adx / 660.0, 2e-3)
+    vals = []
+    for s in range(spec.extrapolation_steps):
+        eps = eps0 / 2.0 ** s
+        kmax = spec.k_max if spec.k_max else math.sqrt(40.0 / eps) + kshift
+        n = spec.samples if spec.samples else max(
+            8001, int(72.0 * kmax * adx / TWO_PI) | 1)
+        if n % 2 == 0:
+            n += 1
+        grid = np.linspace(0.0, kmax, n)
+        f = integrand(grid) * np.exp(-eps * grid * grid)
+        vals.append(2.0 * _simpson(f, grid))
+    return _richardson(vals)
 
 
 def _omega_transform(dx: float, params: FieldParams,
@@ -283,28 +309,15 @@ def _omega_transform(dx: float, params: FieldParams,
     if adx == 0.0:
         raise NonConvergent("omega transform has no finite part at dx = 0")
     m2 = params.m2_mod
-    eps0 = spec.regulator_epsilon if spec.regulator_epsilon else _auto_epsilon(adx)
-    steps = spec.extrapolation_steps
 
-    vals = []
-    for s in range(steps):
-        eps = eps0 / 2.0 ** s
-        kmax = spec.k_max if spec.k_max else math.sqrt(40.0 / eps) + math.sqrt(abs(m2))
-        n = spec.samples if spec.samples else max(
-            8001, int(72.0 * kmax * adx / TWO_PI) | 1)
-        if n % 2 == 0:
-            n += 1
+    def integrand(s):
         if m2 >= 0.0:
-            k = np.linspace(0.0, kmax, n)
-            f = np.sqrt(k * k + m2) * np.cos(k * adx) * np.exp(-eps * k * k)
-        else:
-            # substitute q = sqrt(k^2 + M^2): k = sqrt(q^2 - M^2) >= sqrt(-M^2)
-            q = np.linspace(0.0, kmax, n)
-            kk = np.sqrt(q * q - m2)
-            f = (q * q / kk) * np.cos(kk * adx) * np.exp(-eps * q * q)
-        vals.append(2.0 * _simpson(f, k if m2 >= 0.0 else q))
+            return np.sqrt(s * s + m2) * np.cos(s * adx)
+        # s = q = sqrt(k^2 + M^2): k = sqrt(q^2 - M^2) >= sqrt(-M^2)
+        kk = np.sqrt(s * s - m2)
+        return (s * s / kk) * np.cos(kk * adx)
 
-    return _richardson(vals)
+    return _regularized_integral(adx, spec, math.sqrt(abs(m2)), integrand)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -337,54 +350,39 @@ def commutator_omega_pi_quadrature(delta_x: float, params: FieldParams,
     Evaluates -i B_sum * Integral omega_k e^{i k dx} dk with the Gaussian
     regulator and extrapolation; raises NonConvergent at dx = 0.
     """
-    if params.dim != 1:
-        raise DomainError("quadrature oracle supports dim = 1 only")
     f = _omega_transform(delta_x, params, spec)
     return Bicomplex.from_complex(-1j * f) * sum_bracket(table)
 
 
 def commutator_omega_pi_closed(delta_x: float, params: FieldParams,
-                               table: CommutationTable,
-                               alt_form: bool = False) -> Bicomplex:
+                               table: CommutationTable) -> Bicomplex:
     """Closed form of [Omega, Pi] in 1+1 dimensions, M^2 > 0.
 
-    Oracle-validated form: 2 i B_sum (M / |dx|) K1(M |dx|).  The alt_form
-    flag instead returns the alternative convention
-    -2 i B_diff (M / dx) K1(M^2 dx) for comparison plots.
+    Oracle-validated form: 2 i B_sum (M / |dx|) K1(M |dx|).
     """
-    if params.dim != 1:
-        raise DomainError("closed form derived for dim = 1 only")
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError(f"closed form requires M^2 > 0, got {m2}")
     if delta_x == 0.0:
         raise DomainError("commutator diverges at dx = 0")
     mmod = math.sqrt(m2)
-    if alt_form:
-        profile = (mmod / delta_x) * bessel_k(1, m2 * abs(delta_x))
-        return Bicomplex.from_complex(-2j * profile) * difference_bracket(table)
     profile = (mmod / abs(delta_x)) * bessel_k(1, mmod * abs(delta_x))
     return Bicomplex.from_complex(2j * profile) * sum_bracket(table)
 
 
 def commutator_omega_pi_m0_limit(delta_x: float, gamma: float,
-                                 table: CommutationTable,
-                                 alt_form: bool = False) -> Bicomplex:
+                                 table: CommutationTable) -> Bicomplex:
     """m -> 0 limit of [Omega, Pi] (M^2 = -gamma^2/4, IR-cutoff integral).
 
     The cutoff integral evaluates to an oscillatory Bessel-Y form,
     Integral = (pi gamma / 2 |dx|) Y1(gamma |dx| / 2), so the commutator is
-    -i B_sum times that.  alt_form returns the alternative
-    B_diff |gamma| K1(gamma^4 dx / 16) convention instead.
+    -i B_sum times that.
     """
     if delta_x == 0.0:
         raise DomainError("commutator diverges at dx = 0")
     if gamma <= 0.0:
         raise DomainError("m -> 0 limit requires gamma > 0")
     adx = abs(delta_x)
-    if alt_form:
-        profile = abs(gamma) * bessel_k(1, gamma ** 4 * adx / 16.0)
-        return Bicomplex.from_complex(profile) * difference_bracket(table)
     f0 = (math.pi * gamma / (2.0 * adx)) * float(_scipy_y1(gamma * adx / 2.0))
     return Bicomplex.from_complex(-1j * f0) * sum_bracket(table)
 
@@ -405,8 +403,6 @@ def weighted_commutators(which: str, delta_x: float, params: FieldParams,
         coeff = Bicomplex.from_complex(-1j) * sum_bracket(table)
         return CommutatorResult("w_omega_pi", coeff, KERNEL_DELTA,
                                 delta_coeff=coeff)
-    if params.dim != 1:
-        raise DomainError("weighted Bessel kernels derived for dim = 1 only")
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError(f"weighted kernels require M^2 > 0, got {m2}")
@@ -440,21 +436,10 @@ def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError("weighted oracle requires M^2 > 0")
-    eps0 = spec.regulator_epsilon if spec.regulator_epsilon else _auto_epsilon(adx)
     power = {"omega_omega": -1, "pi_pi": 1}[which]
-    vals = []
-    for s in range(spec.extrapolation_steps):
-        eps = eps0 / 2.0 ** s
-        kmax = spec.k_max if spec.k_max else math.sqrt(40.0 / eps)
-        n = spec.samples if spec.samples else max(
-            8001, int(72.0 * kmax * adx / TWO_PI) | 1)
-        if n % 2 == 0:
-            n += 1
-        k = np.linspace(0.0, kmax, n)
-        w = np.sqrt(k * k + m2)
-        f = w ** power * np.cos(k * adx) * np.exp(-eps * k * k)
-        vals.append(2.0 * _simpson(f, k))
-    integral = _richardson(vals)
+    integral = _regularized_integral(
+        adx, spec, 0.0,
+        lambda k: np.sqrt(k * k + m2) ** power * np.cos(k * adx))
     if which == "omega_omega":
         return difference_bracket(table) * Bicomplex.from_complex(integral)
     return difference_bracket(table) * Bicomplex.from_complex(-integral)
@@ -475,46 +460,32 @@ def figure_data(figure: str, grid, params: FieldParams,
     M sweeps (default 1.0).  Reported re/im are the plus-sector components.
     """
     if table is None:
-        table = CommutationTable(rho=(Bicomplex.one(), Bicomplex.zero(),
-                                      Bicomplex.zero(), Bicomplex.zero()))
+        table = generic_table()
     lo, hi, steps = grid[0], grid[1], int(grid[2])
     fixed_dx = grid[3] if len(grid) > 3 else 1.0
     if steps < 1:
         raise DomainError("empty sweep")
+    base = {"fig2": "fig1", "fig6b": "fig6", "fig7b": "fig7"}.get(figure, figure)
+    if base not in ("fig1", "fig6", "fig7"):
+        raise ValueError(f"unknown figure {figure!r}")
     xs = [lo + (hi - lo) * i / max(steps - 1, 1) for i in range(steps)]
 
-    def value_dx(dx: float) -> Bicomplex:
-        if figure == "fig1":
-            return commutator_omega_pi_closed(dx, params, table)
-        if figure.startswith("fig6"):
-            return weighted_commutators("omega_omega", dx, params, table).value_at(dx)
-        if figure.startswith("fig7"):
-            return weighted_commutators("pi_pi", dx, params, table).value_at(dx)
-        raise ValueError(f"unknown figure {figure!r}")
+    def kernel(dx: float, p: FieldParams) -> Bicomplex:
+        if base == "fig1":
+            return commutator_omega_pi_closed(dx, p, table)
+        which = "omega_omega" if base == "fig6" else "pi_pi"
+        return weighted_commutators(which, dx, p, table).value_at(dx)
 
     rows = []
-    if figure in ("fig1", "fig6", "fig7"):
-        for dx in xs:
-            if dx == 0.0:
+    for x in xs:
+        if figure == base:
+            if x == 0.0:
                 raise DomainError("sweep grid must avoid dx = 0")
-            val = value_dx(dx).plus()
-            rows.append((dx, val.real, val.imag))
-        return rows
-    if figure in ("fig2", "fig6b", "fig7b"):
-        base = "fig1" if figure == "fig2" else figure[:4]
-        for mmod in xs:
-            if mmod <= 0.0:
+            val = kernel(x, params).plus()
+        else:
+            if x <= 0.0:
                 raise DomainError("M sweep requires M > 0")
-            m = math.sqrt(mmod * mmod + params.gamma ** 2 / 4.0)
-            p = FieldParams(m=m, gamma=params.gamma, dim=params.dim)
-            if base == "fig1":
-                val = commutator_omega_pi_closed(fixed_dx, p, table).plus()
-            elif base == "fig6":
-                val = weighted_commutators("omega_omega", fixed_dx, p,
-                                           table).value_at(fixed_dx).plus()
-            else:
-                val = weighted_commutators("pi_pi", fixed_dx, p,
-                                           table).value_at(fixed_dx).plus()
-            rows.append((mmod, val.real, val.imag))
-        return rows
-    raise ValueError(f"unknown figure {figure!r}")
+            m = math.sqrt(x * x + params.gamma ** 2 / 4.0)
+            val = kernel(fixed_dx, FieldParams(m=m, gamma=params.gamma)).plus()
+        rows.append((x, val.real, val.imag))
+    return rows

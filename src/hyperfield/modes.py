@@ -21,17 +21,14 @@ MINUS = "minus"
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Mass m >= 0, dissipation gamma >= 0, spatial dimension dim >= 1."""
+    """Mass m >= 0 and dissipation gamma >= 0."""
 
     m: float = 1.0
     gamma: float = 0.0
-    dim: int = 1
 
     def __post_init__(self):
         if self.m < 0 or self.gamma < 0:
             raise ValueError("m and gamma must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
 
     @property
     def m2_mod(self) -> float:
@@ -99,49 +96,39 @@ def make_mode(branch: str, k, params: FieldParams,
                         omega(k, params), g1 if branch == PLUS else g2)
 
 
-def _phase(mode: ModeSolution, x, t: float) -> complex:
-    return complex(mode.omega * t - _kdotx(mode.k, x))
+def _superpose(modes: list[ModeSolution], x, t: float, factors) -> Bicomplex:
+    """Sum of P e^{Gamma t} [A fa e^{i theta} + B fb e^{-i theta}] over modes.
+
+    factors(mode) gives the multipliers (fa, fb) of the two phases, which
+    carry whatever derivative or operator is applied to the mode.
+    """
+    total = Bicomplex.zero()
+    for mode in modes:
+        fa, fb = factors(mode)
+        damp = math.exp(mode.Gamma * t)
+        ephase = cmath.exp(1j * complex(mode.omega * t - _kdotx(mode.k, x)))
+        osc = (mode.coeff_a * Bicomplex.from_complex(fa * ephase)
+               + mode.coeff_b * Bicomplex.from_complex(fb / ephase))
+        total = total + mode.projector() * (damp * osc)
+    return total
 
 
 def field_value(modes: list[ModeSolution], x, t: float) -> Bicomplex:
     """Superposition of mode contributions at the spacetime point (x, t)."""
-    total = Bicomplex.zero()
-    for mode in modes:
-        theta = _phase(mode, x, t)
-        damp = math.exp(mode.Gamma * t)
-        ephase = cmath.exp(1j * theta)
-        osc = (mode.coeff_a * Bicomplex.from_complex(ephase)
-               + mode.coeff_b * Bicomplex.from_complex(1.0 / ephase))
-        total = total + mode.projector() * (damp * osc)
-    return total
+    return _superpose(modes, x, t, lambda _: (1.0, 1.0))
 
 
 def field_time_derivative(modes: list[ModeSolution], x, t: float) -> Bicomplex:
-    total = Bicomplex.zero()
-    for mode in modes:
-        theta = _phase(mode, x, t)
-        damp = math.exp(mode.Gamma * t)
-        ephase = cmath.exp(1j * theta)
-        ca = (mode.Gamma + 1j * mode.omega) * ephase
-        cb = (mode.Gamma - 1j * mode.omega) / ephase
-        osc = (mode.coeff_a * Bicomplex.from_complex(ca)
-               + mode.coeff_b * Bicomplex.from_complex(cb))
-        total = total + mode.projector() * (damp * osc)
-    return total
+    return _superpose(modes, x, t, lambda mode: (
+        mode.Gamma + 1j * mode.omega, mode.Gamma - 1j * mode.omega))
 
 
 def field_space_derivative(modes: list[ModeSolution], x, t: float,
                            axis: int = 0) -> Bicomplex:
-    total = Bicomplex.zero()
-    for mode in modes:
+    def factors(mode):
         kc = mode.k if isinstance(mode.k, (int, float)) else mode.k[axis]
-        theta = _phase(mode, x, t)
-        damp = math.exp(mode.Gamma * t)
-        ephase = cmath.exp(1j * theta)
-        osc = (mode.coeff_a * Bicomplex.from_complex(-1j * kc * ephase)
-               + mode.coeff_b * Bicomplex.from_complex(1j * kc / ephase))
-        total = total + mode.projector() * (damp * osc)
-    return total
+        return -1j * kc, 1j * kc
+    return _superpose(modes, x, t, factors)
 
 
 def eom_residual(mode: ModeSolution, params: FieldParams, x, t: float) -> Bicomplex:
@@ -154,15 +141,9 @@ def eom_residual(mode: ModeSolution, params: FieldParams, x, t: float) -> Bicomp
     sign = 1.0 if mode.branch == PLUS else -1.0
     ksq = _ksq(mode.k)
     m2 = params.m * params.m
-    g = mode.Gamma
 
     def factor(freq_sign: float) -> complex:
-        z = g + 1j * freq_sign * mode.omega
+        z = mode.Gamma + 1j * freq_sign * mode.omega
         return z * z + ksq + sign * params.gamma * z + m2
 
-    theta = _phase(mode, x, t)
-    damp = math.exp(g * t)
-    ephase = cmath.exp(1j * theta)
-    osc = (mode.coeff_a * Bicomplex.from_complex(factor(+1.0) * ephase)
-           + mode.coeff_b * Bicomplex.from_complex(factor(-1.0) / ephase))
-    return mode.projector() * (damp * osc)
+    return _superpose([mode], x, t, lambda _: (factor(+1.0), factor(-1.0)))

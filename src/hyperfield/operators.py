@@ -90,10 +90,6 @@ class CommutationTable:
         return _as_rho(self.sigma[m])(k, kprime)
 
 
-def default_table(**kw) -> CommutationTable:
-    return CommutationTable(**kw)
-
-
 def generic_table(**kw) -> CommutationTable:
     """Table with rho1 = 1, rho4 = 0: keeps the difference bracket nonzero."""
     kw.setdefault("rho", (Bicomplex.one(), Bicomplex.zero(),
@@ -314,9 +310,8 @@ class VacuumRules:
 
     @staticmethod
     def generic(lambda1, lambda2) -> "VacuumRules":
-        l1 = lambda1 if isinstance(lambda1, Bicomplex) else Bicomplex.from_complex(lambda1)
-        l2 = lambda2 if isinstance(lambda2, Bicomplex) else Bicomplex.from_complex(lambda2)
-        return VacuumRules(l1, l2, False)
+        return VacuumRules(Bicomplex.from_complex(lambda1),
+                           Bicomplex.from_complex(lambda2), False)
 
 
 # pair families per sector: the ket rule collapses the sector's own

@@ -55,11 +55,11 @@ class Bicomplex:
 
     @staticmethod
     def zero() -> "Bicomplex":
-        return _ZERO
+        return ZERO
 
     @staticmethod
     def one() -> "Bicomplex":
-        return _ONE
+        return ONE
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -159,11 +159,8 @@ def _coerce(value):
     return NotImplemented
 
 
-_ZERO = Bicomplex(0.0, 0.0, 0.0, 0.0)
-_ONE = Bicomplex(1.0, 0.0, 0.0, 0.0)
-
-ONE = _ONE
-ZERO = _ZERO
+ZERO = Bicomplex(0.0, 0.0, 0.0, 0.0)
+ONE = Bicomplex(1.0, 0.0, 0.0, 0.0)
 I_UNIT = Bicomplex(0.0, 1.0, 0.0, 0.0)
 J_UNIT = Bicomplex(0.0, 0.0, 1.0, 0.0)
 IJ_UNIT = Bicomplex(0.0, 0.0, 0.0, 1.0)
@@ -176,22 +173,6 @@ def idempotents_exact():
     """J+ and J- with exact rational components, for the rational test mode."""
     half = Fraction(1, 2)
     return (Bicomplex(half, 0, half, 0), Bicomplex(half, 0, -half, 0))
-
-
-def add(a: Bicomplex, b: Bicomplex) -> Bicomplex:
-    return a + b
-
-
-def mul(a: Bicomplex, b: Bicomplex) -> Bicomplex:
-    return a * b
-
-
-def conj_bar(a: Bicomplex) -> Bicomplex:
-    return a.conj()
-
-
-def modulus(a: Bicomplex) -> Bicomplex:
-    return a.modulus()
 
 
 def idempotent_decompose(a: Bicomplex) -> tuple[complex, complex]:

@@ -103,17 +103,19 @@ class StateVector:
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
 
 
-def _expand_exponential(labels_plus: dict, labels_minus: dict, order: int,
-                        basis_cap: int) -> StateVector:
-    """exp of a creation exponent with per-label scalars, truncated.
+def _expand_exponential(pairs: dict, order: int, basis_cap: int) -> StateVector:
+    """exp of a creation exponent with per-pair scalars, truncated.
 
-    labels_* map (tag, k, kp, flag) -> complex weight; plus labels carry a
-    J+ ring amplitude, minus labels J-.  Mixed-sector products vanish
+    pairs maps (k, kp) index pairs to complex weights.  Each pair gives the
+    labels (tag, k, kp, flag) of both orderings in both sectors: '2ba' with
+    a J+ ring amplitude, '1ab' with J-.  Mixed-sector products vanish
     (J+ J- = 0), so the two sectors expand independently.
     """
     amps: dict = {(): Bicomplex.one()}
 
-    for labels, sector in ((labels_plus, J_PLUS), (labels_minus, J_MINUS)):
+    for tag, sector in ((TAG_MIRROR, J_PLUS), (TAG_SYSTEM, J_MINUS)):
+        labels = {(tag, i, j, flag): z
+                  for (i, j), z in pairs.items() for flag in (0, 1)}
         if not labels:
             continue
         names = sorted(labels)
@@ -151,16 +153,12 @@ def evolve_vacuum(t: float, order: int, params: FieldParams,
     """
     if not rules.constrained:
         raise ValueError("evolve_vacuum requires constrained vacuum rules")
-    labels_plus: dict = {}
-    labels_minus: dict = {}
+    pairs: dict = {}
     for i, j, w in hamiltonian_terms(params, geom, table, t):
         z = 1j * t * w.conjugate()
-        if z == 0:
-            continue
-        for flag in (0, 1):
-            labels_plus[(TAG_MIRROR, i, j, flag)] = z
-            labels_minus[(TAG_SYSTEM, i, j, flag)] = z
-    return _expand_exponential(labels_plus, labels_minus, order, basis_cap)
+        if z != 0:
+            pairs[(i, j)] = z
+    return _expand_exponential(pairs, order, basis_cap)
 
 
 def overlap_phases(t: float, params: FieldParams, geom: GeometrySpec,
@@ -232,27 +230,21 @@ def asymptotic_state_finite(order: int, params: FieldParams, L1: float,
     available through include_cross_term.
     """
     geom = GeometrySpec(FINITE_INTERVAL, L1, L2)
-    labels_plus: dict = {}
-    labels_minus: dict = {}
+    pairs: dict = {}
     dk = table.delta_k
     for i in table.momentum_indices():
         k = table.momentum(i)
         if k == 0.0:
             raise PoleAtZeroMomentum("lattice must exclude k = 0")
-        z = geom.length * dk * eta_k(k, params)
-        for flag in (0, 1):
-            labels_plus[(TAG_MIRROR, i, i, flag)] = z
-            labels_minus[(TAG_SYSTEM, i, i, flag)] = z
+        pairs[(i, i)] = geom.length * dk * eta_k(k, params)
         if include_cross_term:
             w = omega(k, params)
             kern = geometry_kernel(2.0 * k, geom).conjugate()
             zc = dk * (w / abs(k)) * h_gamma(k, -k, params).conjugate() * kern
             mi = _mirror_index(i, table)
             if mi is not None:
-                for flag in (0, 1):
-                    labels_plus[(TAG_MIRROR, i, mi, flag)] = zc
-                    labels_minus[(TAG_SYSTEM, i, mi, flag)] = zc
-    return _expand_exponential(labels_plus, labels_minus, order, basis_cap)
+                pairs[(i, mi)] = zc
+    return _expand_exponential(pairs, order, basis_cap)
 
 
 def _mirror_index(i: int, table: CommutationTable):

@@ -9,6 +9,7 @@ single source of truth for the pass/fail logic and the tolerances.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .modes import (FieldParams, dissipative_coefficients, eom_residual,
 from .observables import (GeometrySpec, h_gamma, hamiltonian_terms, vev_H,
                           vev_Q)
 from .operators import CommutationTable, VacuumRules, generic_table
-from .ring import Bicomplex, mul as ring_mul
+from .ring import Bicomplex, idempotents_exact
 from .states import (asymptotic_state_finite, asymptotic_state_infinite,
                      evolve_vacuum, norm_preservation, overlap_with_vacuum,
                      project_view, schmidt_rank)
@@ -44,7 +45,7 @@ def _sectors_exact(a: Bicomplex):
 
 
 def ring_property_suite(n_checks: int = 10_000, seed: int = 7,
-                        mul_fn=ring_mul) -> dict:
+                        mul_fn=operator.mul) -> dict:
     """Randomized ring-axiom suite in exact rational mode.
 
     Returns {"checks": int, "failures": [names], "seconds": float}.  The
@@ -52,9 +53,7 @@ def ring_property_suite(n_checks: int = 10_000, seed: int = 7,
     product.
     """
     rng = random.Random(seed)
-    half = Fraction(1, 2)
-    jp = Bicomplex(half, 0, half, 0)
-    jm = Bicomplex(half, 0, -half, 0)
+    jp, jm = idempotents_exact()
     failures: list[str] = []
     checks = 0
     t0 = time.time()

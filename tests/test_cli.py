@@ -67,6 +67,16 @@ class TestCommutatorSweep:
             assert r.returncode == 0, r.stderr
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_lattice_span_warning_only_for_lattice_kernels(self, tmp_path):
+        # the defaults (N = 16, delta_k = 0.1, m = 1) give a span below 5 m
+        sweep = ["--x-min", "0.5", "--x-max", "2", "--steps", "3"]
+        r = run_cli(["commutator", "--which", "omega-pi", *sweep], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        r = run_cli(["commutator", "--which", "omega-omega", *sweep], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.startswith("warning: lattice span")
+
     def test_delta_kernel_profiles(self, tmp_path):
         r = run_cli(["commutator", "--which", "omega-omega", "--x-min", "0.1",
                      "--x-max", "2", "--steps", "5"], tmp_path)
@@ -127,9 +137,12 @@ class TestAsymptotic:
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
+    # dim and seed included: no verb reads them
+    @pytest.mark.parametrize("config", [{"bogus": 1}, {"dim": 1}, {"seed": 0}],
+                             ids=["bogus", "dim", "seed"])
+    def test_unknown_key_rejected(self, tmp_path, config):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps(config))
         r = run_cli(["--config", str(cfg), "ring-check", "--checks", "100"], tmp_path)
         assert r.returncode == 2
 
@@ -152,6 +165,27 @@ class TestConfig:
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["commutator", "--which", "omega-pi", "--m", "-1", "--steps", "2"],
+        ["commutator", "--which", "omega-pi", "--m", "nan", "--steps", "2"],
+        ["commutator", "--which", "omega-pi", "--gamma", "inf", "--steps", "2"],
+        ["evolve", "--t", "0.1", "--order", "1", "--geometry", "finite",
+         "--L1", "2", "--L2", "1"],
+        ["asymptotic", "--geometry", "finite", "--order", "1",
+         "--L1", "2", "--L2", "1"],
+        ["asymptotic", "--geometry", "infinite", "--t-values", "1,x"],
+        ["evolve", "--t", "nan", "--order", "1"],
+        ["evolve", "--t", "0.1", "--order", "-1"],
+    ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
+            "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
+            "order_negative"])
+    def test_malformed_flag_is_usage_error(self, tmp_path, args):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1, r.stderr
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -286,13 +286,6 @@ class TestQuadratureOracle:
         with pytest.raises(DomainError):
             commutator_omega_pi_closed(1.0, FieldParams(m=1.0, gamma=2.5), t)
 
-    def test_alt_form_variant_differs(self):
-        t = generic_table()
-        p = FieldParams(m=1.2, gamma=0.0)
-        a = commutator_omega_pi_closed(1.0, p, t)
-        b = commutator_omega_pi_closed(1.0, p, t, alt_form=True)
-        assert not a.is_close(b, 1e-3)
-
 
 class TestM0Limit:
     def test_decay_at_large_separation(self):

@@ -18,8 +18,6 @@ class TestFieldParams:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             FieldParams(m=-1.0)
-        with pytest.raises(ValueError):
-            FieldParams(m=1.0, dim=0)
 
 
 class TestDissipativeCoefficients:
@@ -60,7 +58,7 @@ class TestDispersion:
         assert omega(1.0, p) == math.sqrt(1.0 - 0.75)
 
     def test_vector_momentum(self):
-        p = FieldParams(m=1.0, gamma=0.0, dim=2)
+        p = FieldParams(m=1.0, gamma=0.0)
         assert abs(omega((3.0, 4.0), p) - math.sqrt(26.0)) < 1e-14
 
 
