@@ -19,7 +19,7 @@ from . import verification
 from .commutators import (commutator_omega_omegadagger, commutator_pi_pidagger,
                           figure_data, lattice_delta_profile,
                           weighted_commutators)
-from .errors import HyperfieldError
+from .errors import DomainError, HyperfieldError
 from .modes import FieldParams
 from .observables import GeometrySpec
 from .operators import CommutationTable, VacuumRules
@@ -78,12 +78,14 @@ def _override(cfg: dict, args: argparse.Namespace) -> None:
     if geometry == "infinite":
         cfg["geometry"] = {"kind": "infinite_line"}
     elif geometry == "finite":
-        # evolve's interval defaults to [-1, 1], asymptotic's to the config's
-        base = cfg["geometry"] if args.verb == "asymptotic" else {}
+        base = cfg["geometry"]
         cfg["geometry"] = {
             "kind": "finite_interval",
             "L1": args.L1 if args.L1 is not None else base.get("L1", -1.0),
             "L2": args.L2 if args.L2 is not None else base.get("L2", 1.0)}
+    if geometry != "finite" and (getattr(args, "L1", None) is not None
+                                 or getattr(args, "L2", None) is not None):
+        raise ConfigError("--L1/--L2 need --geometry finite")
 
 
 def _is_real(value) -> bool:
@@ -215,8 +217,11 @@ def cmd_commutator(args, cfg: dict) -> int:
     if args.steps < 1:
         raise ConfigError("empty sweep: --steps must be >= 1")
     if args.which in _FIGURE_OF:
-        rows = figure_data(_FIGURE_OF[args.which],
-                           (args.x_min, args.x_max, args.steps), params, table)
+        try:
+            rows = figure_data(_FIGURE_OF[args.which],
+                               (args.x_min, args.x_max, args.steps), params, table)
+        except DomainError as exc:  # a grid through dx = 0, or M^2 <= 0
+            raise ConfigError(str(exc)) from exc
     else:
         # delta-type kernels: emit coefficient times the lattice delta profile
         _warn_lattice_span(cfg)
@@ -301,9 +306,7 @@ def cmd_verify(args, cfg: dict) -> int:
     table = _table(cfg) if args.config else None
     reports = verification.run_all(table)
     for r in reports:
-        mark = "PASS" if r["passed"] else "FAIL"
-        print(f"[{mark}] criterion {r['id']:>2} {r['name']} "
-              f"(tolerance: {r['tolerance']}) -- {r['detail']}")
+        print(verification.report_line(r))
     out = args.output or os.path.join(cfg["output_dir"], "verify_report.json")
     _write_json(out, reports)
     print(f"wrote report to {out}")

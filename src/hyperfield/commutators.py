@@ -120,6 +120,32 @@ def commutator_pi_pidagger(table: CommutationTable,
 # symbolic lattice route
 # ---------------------------------------------------------------------------
 
+def _ladder_poly(x: float, t: float, params: FieldParams,
+                 table: CommutationTable, weighted: bool,
+                 entries) -> OperatorPoly:
+    """Sum over the lattice modes of single-ladder terms.
+
+    entries(w, ph, damp, grow, meas) returns a mode's four (species,
+    dagger, sector, coefficient) terms, given w = omega_k, ph = e^{i th}
+    with th = omega_k t - k x, damp = e^{-gamma t/2}, grow = e^{+gamma t/2}
+    and the measure meas (delta_k, over sqrt(omega_k) when weighted).
+    """
+    damp = math.exp(-params.gamma * t / 2.0)
+    grow = math.exp(+params.gamma * t / 2.0)
+    dk = table.delta_k
+    out: dict = {}
+    poly = OperatorPoly(out)
+    for i in table.momentum_indices():
+        k = table.momentum(i)
+        w = omega(k, params)
+        meas = dk / math.sqrt(w) if weighted else dk
+        ph = cmath.exp(1j * (w * t - k * x))
+        for species, dagger, sector, coeff in entries(w, ph, damp, grow, meas):
+            poly._merged((ModeOp(species, i, dagger),),
+                         sector * Bicomplex.from_complex(coeff), out)
+    return poly
+
+
 def field_operator_poly(x: float, t: float, params: FieldParams,
                         table: CommutationTable,
                         weighted: bool = False) -> OperatorPoly:
@@ -129,26 +155,11 @@ def field_operator_poly(x: float, t: float, params: FieldParams,
     minus sector: exp(+gamma t / 2) [b1+(k) e^{i th} + b2(k) e^{-i th}],
     th = omega_k t - k x, integrated as delta_k * sum over the lattice.
     """
-    g = params.gamma
-    dk = table.delta_k
-    out: dict = {}
-    poly = OperatorPoly(out)
-    for i in table.momentum_indices():
-        k = table.momentum(i)
-        w = omega(k, params)
-        meas = dk / math.sqrt(w) if weighted else dk
-        ph = cmath.exp(1j * (w * t - k * x))
-        dp = math.exp(-g * t / 2.0) * meas
-        dm = math.exp(+g * t / 2.0) * meas
-        poly._merged((ModeOp("a1", i, False),),
-                     J_PLUS * Bicomplex.from_complex(dp * ph), out)
-        poly._merged((ModeOp("a2", i, True),),
-                     J_PLUS * Bicomplex.from_complex(dp / ph), out)
-        poly._merged((ModeOp("b1", i, True),),
-                     J_MINUS * Bicomplex.from_complex(dm * ph), out)
-        poly._merged((ModeOp("b2", i, False),),
-                     J_MINUS * Bicomplex.from_complex(dm / ph), out)
-    return poly
+    def entries(w, ph, damp, grow, meas):
+        dp, dm = damp * meas, grow * meas
+        return (("a1", False, J_PLUS, dp * ph), ("a2", True, J_PLUS, dp / ph),
+                ("b1", True, J_MINUS, dm * ph), ("b2", False, J_MINUS, dm / ph))
+    return _ladder_poly(x, t, params, table, weighted, entries)
 
 
 def momentum_operator_poly(x: float, t: float, params: FieldParams,
@@ -159,26 +170,11 @@ def momentum_operator_poly(x: float, t: float, params: FieldParams,
     Pi = -{ e^{+gamma t/2} J+ i omega [b1 e^{-i th} - b2+ e^{i th}]
           + e^{-gamma t/2} J- i omega [a1+ e^{-i th} - a2 e^{i th}] }.
     """
-    g = params.gamma
-    dk = table.delta_k
-    out: dict = {}
-    poly = OperatorPoly(out)
-    for i in table.momentum_indices():
-        k = table.momentum(i)
-        w = omega(k, params)
-        meas = dk / math.sqrt(w) if weighted else dk
-        ph = cmath.exp(1j * (w * t - k * x))
-        cp = -1j * w * math.exp(+g * t / 2.0) * meas
-        cm = -1j * w * math.exp(-g * t / 2.0) * meas
-        poly._merged((ModeOp("b1", i, False),),
-                     J_PLUS * Bicomplex.from_complex(cp / ph), out)
-        poly._merged((ModeOp("b2", i, True),),
-                     J_PLUS * Bicomplex.from_complex(-cp * ph), out)
-        poly._merged((ModeOp("a1", i, True),),
-                     J_MINUS * Bicomplex.from_complex(cm / ph), out)
-        poly._merged((ModeOp("a2", i, False),),
-                     J_MINUS * Bicomplex.from_complex(-cm * ph), out)
-    return poly
+    def entries(w, ph, damp, grow, meas):
+        cp, cm = -1j * w * grow * meas, -1j * w * damp * meas
+        return (("b1", False, J_PLUS, cp / ph), ("b2", True, J_PLUS, -cp * ph),
+                ("a1", True, J_MINUS, cm / ph), ("a2", False, J_MINUS, -cm * ph))
+    return _ladder_poly(x, t, params, table, weighted, entries)
 
 
 def lattice_commutator(which: str, x: float, xprime: float, t: float,
@@ -217,7 +213,7 @@ def lattice_commutator(which: str, x: float, xprime: float, t: float,
     total = Bicomplex.zero()
     for op, a in _linear_terms(left):
         i = op.index
-        mirror = -i - 1 if table.stagger else -i
+        mirror = table.mirror_index(i)
         for j in ((i, mirror) if mirror != i else (i,)):
             for op2, b in by_index.get(j, ()):
                 c = commutator(op, op2, table)
@@ -255,50 +251,36 @@ def lattice_delta_profile(dx: float, table: CommutationTable,
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gaussian regulator e^{-eps k^2} with Richardson extrapolation to 0.
+    """The quadrature oracles' rule, which has no settings.
 
-    regulator_epsilon None picks a scale from dx automatically.  The
-    epsilon sequence is halved extrapolation_steps times; the final two
-    extrapolants must agree (Cauchy test) or NonConvergent is raised.
+    The oracles keep their spec argument.  The rule is fixed: a Gaussian
+    regulator e^{-eps k^2} with eps picked from dx, halved four times and
+    extrapolated to 0; the last two extrapolants must agree (Cauchy test)
+    or NonConvergent is raised.
     """
 
-    regulator_epsilon: Optional[float] = None
-    k_max: Optional[float] = None
-    samples: int = 0
-    extrapolation_steps: int = 5
 
-    def __post_init__(self):
-        if self.extrapolation_steps < 2:
-            raise ValueError("extrapolation_steps must be >= 2")
-
-
-def _regularized_integral(adx: float, spec: QuadratureSpec, kshift: float,
-                          integrand) -> float:
+def _regularized_integral(adx: float, kshift: float, integrand) -> float:
     """2 Int_0^inf integrand(s) ds, regulated by e^{-eps s^2}, eps -> 0.
 
     Simpson's rule on [0, sqrt(40 / eps) + kshift] for a halving sequence
-    of eps, then Richardson extrapolation of the sequence.
+    of five eps, then Richardson extrapolation of the sequence.
     """
-    # without a given regulator, keep exp(-dx^2 / 4 eps) below ~1e-70 while
-    # keeping the O(eps) term, whose coefficient grows like 1/dx^4, small
-    # enough for extrapolation
-    eps0 = spec.regulator_epsilon or min(adx * adx / 660.0, 2e-3)
+    # keep exp(-dx^2 / 4 eps) below ~1e-70 while keeping the O(eps) term,
+    # whose coefficient grows like 1/dx^4, small enough for extrapolation
+    eps0 = min(adx * adx / 660.0, 2e-3)
     vals = []
-    for s in range(spec.extrapolation_steps):
+    for s in range(5):
         eps = eps0 / 2.0 ** s
-        kmax = spec.k_max if spec.k_max else math.sqrt(40.0 / eps) + kshift
-        n = spec.samples if spec.samples else max(
-            8001, int(72.0 * kmax * adx / TWO_PI) | 1)
-        if n % 2 == 0:
-            n += 1
+        kmax = math.sqrt(40.0 / eps) + kshift
+        n = max(8001, int(72.0 * kmax * adx / TWO_PI) | 1)
         grid = np.linspace(0.0, kmax, n)
         f = integrand(grid) * np.exp(-eps * grid * grid)
         vals.append(2.0 * _simpson(f, grid))
     return _richardson(vals)
 
 
-def _omega_transform(dx: float, params: FieldParams,
-                     spec: QuadratureSpec) -> float:
+def _omega_transform(dx: float, params: FieldParams) -> float:
     """Finite part of Integral_{-inf}^{inf} omega_k e^{i k dx} dk (1d, even).
 
     For M^2 >= 0 integrates 2 Int_0^inf sqrt(k^2 + M^2) cos(k dx); for
@@ -317,7 +299,7 @@ def _omega_transform(dx: float, params: FieldParams,
         kk = np.sqrt(s * s - m2)
         return (s * s / kk) * np.cos(kk * adx)
 
-    return _regularized_integral(adx, spec, math.sqrt(abs(m2)), integrand)
+    return _regularized_integral(adx, math.sqrt(abs(m2)), integrand)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -350,7 +332,7 @@ def commutator_omega_pi_quadrature(delta_x: float, params: FieldParams,
     Evaluates -i B_sum * Integral omega_k e^{i k dx} dk with the Gaussian
     regulator and extrapolation; raises NonConvergent at dx = 0.
     """
-    f = _omega_transform(delta_x, params, spec)
+    f = _omega_transform(delta_x, params)
     return Bicomplex.from_complex(-1j * f) * sum_bracket(table)
 
 
@@ -438,8 +420,7 @@ def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
         raise DomainError("weighted oracle requires M^2 > 0")
     power = {"omega_omega": -1, "pi_pi": 1}[which]
     integral = _regularized_integral(
-        adx, spec, 0.0,
-        lambda k: np.sqrt(k * k + m2) ** power * np.cos(k * adx))
+        adx, 0.0, lambda k: np.sqrt(k * k + m2) ** power * np.cos(k * adx))
     if which == "omega_omega":
         return difference_bracket(table) * Bicomplex.from_complex(integral)
     return difference_bracket(table) * Bicomplex.from_complex(-integral)

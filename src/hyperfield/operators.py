@@ -79,6 +79,10 @@ class CommutationTable:
         off = 0.5 if self.stagger else 0.0
         return (index + off) * self.delta_k
 
+    def mirror_index(self, index: int) -> int:
+        """Index of momentum -momentum(index); exact on both lattices."""
+        return -index - 1 if self.stagger else -index
+
     def lattice_delta(self, i: int, j: int) -> float:
         """Dirac delta realization: Kronecker / delta_k."""
         return 1.0 / self.delta_k if i == j else 0.0

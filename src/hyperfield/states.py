@@ -241,19 +241,8 @@ def asymptotic_state_finite(order: int, params: FieldParams, L1: float,
             w = omega(k, params)
             kern = geometry_kernel(2.0 * k, geom).conjugate()
             zc = dk * (w / abs(k)) * h_gamma(k, -k, params).conjugate() * kern
-            mi = _mirror_index(i, table)
-            if mi is not None:
-                pairs[(i, mi)] = zc
+            pairs[(i, table.mirror_index(i))] = zc
     return _expand_exponential(pairs, order, basis_cap)
-
-
-def _mirror_index(i: int, table: CommutationTable):
-    """Lattice index carrying momentum -momentum(i), if present."""
-    target = -table.momentum(i)
-    for j in table.momentum_indices():
-        if table.momentum(j) == target:
-            return j
-    return None
 
 
 def project_view(state: StateVector, side: str) -> StateVector:

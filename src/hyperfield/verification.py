@@ -1,13 +1,17 @@
 """Acceptance suite: every criterion as a callable returning a report dict.
 
-Each criterion function returns {"id", "name", "tolerance", "passed",
-"detail"}.  run_all() executes the suite and is shared by the pytest
-acceptance module and the `hyperfield verify` command, so there is a
-single source of truth for the pass/fail logic and the tolerances.
+Each criterion measures named checks (name, measured, bound, relation)
+and hands them to _report, which derives "passed" and "detail" from them
+and keeps them as "checks"; a report also carries "id", "name" and
+"tolerance".  run_all() executes the suite, adds each criterion's wall
+time as "seconds", and is shared by the pytest acceptance module and the
+`hyperfield verify` command, so there is a single source of truth for the
+pass/fail logic and the tolerances.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 import random
@@ -26,10 +30,37 @@ from .states import (asymptotic_state_finite, asymptotic_state_infinite,
                      evolve_vacuum, norm_preservation, overlap_with_vacuum,
                      project_view, schmidt_rank)
 
+RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+             ">": operator.gt, "==": operator.eq}
 
-def _report(cid: int, name: str, tolerance: str, passed: bool, detail: str) -> dict:
+
+def _report(cid: int, name: str, tolerance: str, checks) -> dict:
+    """Report from (name, measured, bound, relation) checks.
+
+    It passes when it has checks and each holds as `measured relation
+    bound`; the detail lists every check and marks the failing ones.
+    """
+    records = [{"name": n, "measured": m, "bound": b, "relation": rel,
+                "passed": bool(RELATIONS[rel](m, b))} for n, m, b, rel in checks]
+    detail = "; ".join(f"{'' if c['passed'] else 'FAILED '}{c['name']} "
+                       f"{c['measured']:.3g} {c['relation']} {c['bound']:.3g}"
+                       for c in records)
     return {"id": cid, "name": name, "tolerance": tolerance,
-            "passed": bool(passed), "detail": detail}
+            "passed": bool(records) and all(c["passed"] for c in records),
+            "detail": detail, "checks": records}
+
+
+def report_line(report: dict) -> str:
+    """The one line `hyperfield verify` and the pytest gate print per report."""
+    took = f"; {report['seconds']:.2f} s" if "seconds" in report else ""
+    return (f"[{'PASS' if report['passed'] else 'FAIL'}] criterion "
+            f"{report['id']:>2} {report['name']} (tolerance: "
+            f"{report['tolerance']}{took}) -- {report['detail']}")
+
+
+def _rises(values) -> int:
+    """Steps of a sequence that fail to decrease strictly."""
+    return sum(not a > b for a, b in zip(values, values[1:]))
 
 
 # -- 1: exact rational ring suite -------------------------------------------
@@ -91,11 +122,10 @@ def ring_property_suite(n_checks: int = 10_000, seed: int = 7,
 
 def criterion_1_ring_suite() -> dict:
     rep = ring_property_suite(10_000)
-    ok = not rep["failures"] and rep["seconds"] < 5.0
     return _report(1, "ring axioms, conjugation, idempotents (exact rational)",
                    "exact; runtime < 5 s",
-                   ok, f"{rep['checks']} checks, failures={rep['failures']}, "
-                       f"{rep['seconds']:.2f}s")
+                   [("failing properties", len(rep["failures"]), 0, "=="),
+                    ("seconds", rep["seconds"], 5.0, "<")])
 
 
 # -- 2: dispersion / equation of motion -------------------------------------
@@ -103,7 +133,7 @@ def criterion_1_ring_suite() -> dict:
 def criterion_2_dispersion_eom(n_modes: int = 1000, seed: int = 11) -> dict:
     rng = random.Random(seed)
     worst = 0.0
-    gamma_exact = True
+    gamma_mismatches = 0
     for _ in range(n_modes):
         m = rng.uniform(0.1, 3.0)
         gamma = rng.uniform(0.0, 2.5)
@@ -116,17 +146,17 @@ def criterion_2_dispersion_eom(n_modes: int = 1000, seed: int = 11) -> dict:
         mode = make_mode(branch, k, p, ca, cb)
         g1, g2 = dissipative_coefficients(p)
         if mode.Gamma != (g1 if branch == "plus" else g2):
-            gamma_exact = False
+            gamma_mismatches += 1
         x, t = rng.uniform(-2, 2), rng.uniform(0, 2)
         res = eom_residual(mode, p, x, t)
         scale = field_value([mode], x, t).norm() * (1.0 + mode.omega ** 2
                                                     + k * k + m * m)
         worst = max(worst, res.norm() / max(scale, 1e-30))
-    ok = worst <= 1e-10 and gamma_exact
     return _report(2, "mode solutions solve the equations of motion",
                    "residual <= 1e-10 relative; Gamma = -/+ gamma/2 exact",
-                   ok, f"{n_modes} modes, worst relative residual {worst:.2e}, "
-                       f"Gamma exact: {gamma_exact}")
+                   [(f"worst relative residual of {n_modes} modes", worst,
+                     1e-10, "<="),
+                    ("modes with inexact Gamma", gamma_mismatches, 0, "==")])
 
 
 # -- 3: damping-factor cancellation ------------------------------------------
@@ -134,9 +164,12 @@ def criterion_2_dispersion_eom(n_modes: int = 1000, seed: int = 11) -> dict:
 def criterion_3_commutator_invariance(table: CommutationTable | None = None) -> dict:
     table = table or generic_table(delta_k=0.25, N=5)
     x, xp = 0.3, 1.1
-    tol = 1e-12
-    details = []
-    ok = True
+    checks = []
+
+    def compare(name: str, which: str, base: Bicomplex, t: float, p: FieldParams):
+        other = fc.lattice_commutator(which, x, xp, t, p, table)
+        checks.append((name, (base - other).norm() / max(base.norm(), 1e-30),
+                       1e-12, "<="))
 
     # t-independence of both commutators at each gamma
     for gamma in (0.0, 1.0, 2.0):
@@ -144,36 +177,22 @@ def criterion_3_commutator_invariance(table: CommutationTable | None = None) -> 
         for which in ("omega_omega", "pi_pi"):
             base = fc.lattice_commutator(which, x, xp, 0.0, p, table)
             for t in (1.0, 10.0):
-                other = fc.lattice_commutator(which, x, xp, t, p, table)
-                rel = (base - other).norm() / max(base.norm(), 1e-30)
-                if rel > tol:
-                    ok = False
-                    details.append(f"{which} t-dep at gamma={gamma}: {rel:.1e}")
+                compare(f"{which} t={t:g} vs 0 at gamma={gamma:g}", which,
+                        base, t, p)
 
     # gamma-independence: [Omega,Omega+] at fixed m; [Pi,Pi+] at fixed M^2
     p_ref = FieldParams(m=1.5, gamma=0.0)
     base_oo = fc.lattice_commutator("omega_omega", x, xp, 0.7, p_ref, table)
     base_pp = fc.lattice_commutator("pi_pi", x, xp, 0.7, p_ref, table)
-    m2_fixed = p_ref.m2_mod
     for gamma in (1.0, 2.0):
-        v = fc.lattice_commutator("omega_omega", x, xp, 0.7,
-                                  FieldParams(m=1.5, gamma=gamma), table)
-        rel = (base_oo - v).norm() / max(base_oo.norm(), 1e-30)
-        if rel > tol:
-            ok = False
-            details.append(f"omega_omega gamma-dep: {rel:.1e}")
-        m_adj = math.sqrt(m2_fixed + gamma * gamma / 4.0)
-        v2 = fc.lattice_commutator("pi_pi", x, xp, 0.7,
-                                   FieldParams(m=m_adj, gamma=gamma), table)
-        rel2 = (base_pp - v2).norm() / max(base_pp.norm(), 1e-30)
-        if rel2 > tol:
-            ok = False
-            details.append(f"pi_pi gamma-dep at fixed M^2: {rel2:.1e}")
+        compare(f"omega_omega gamma={gamma:g} vs 0", "omega_omega", base_oo,
+                0.7, FieldParams(m=1.5, gamma=gamma))
+        m_adj = math.sqrt(p_ref.m2_mod + gamma * gamma / 4.0)
+        compare(f"pi_pi gamma={gamma:g} vs 0 at fixed M^2", "pi_pi", base_pp,
+                0.7, FieldParams(m=m_adj, gamma=gamma))
     return _report(3, "equal-time commutators free of damping factors",
                    "ring equality across t in {0,1,10}, gamma in {0,1,2} "
-                   "(fp tolerance 1e-12 relative)",
-                   ok, "; ".join(details) if details else
-                   "t- and gamma-independence hold on the lattice")
+                   "(fp tolerance 1e-12 relative)", checks)
 
 
 # -- 4: closed form vs quadrature oracle -------------------------------------
@@ -196,57 +215,45 @@ def criterion_4_bessel_oracle(table: CommutationTable | None = None) -> dict:
             closed = fc.weighted_commutators(which, dx, p, table).value_at(dx)
             quad = fc.weighted_quadrature(which, dx, p, spec, table)
             worst_w = max(worst_w, (closed - quad).norm() / closed.norm())
-    dt = time.time() - t0
-    ok = worst <= 1e-6 and worst_w <= 1e-6 and dt < 60.0
     return _report(4, "Bessel closed forms match the quadrature oracle",
                    "<= 1e-6 relative on 20-point grid M dx in [0.5, 5]; < 60 s",
-                   ok, f"unweighted worst {worst:.2e}, weighted worst "
-                       f"{worst_w:.2e}, {dt:.1f}s")
+                   [("unweighted worst relative error", worst, 1e-6, "<="),
+                    ("weighted worst relative error", worst_w, 1e-6, "<="),
+                    ("seconds", time.time() - t0, 60.0, "<")])
 
 
 # -- 5: limits ----------------------------------------------------------------
 
 def criterion_5_limits(table: CommutationTable | None = None) -> dict:
     table = table or generic_table()
-    details = []
-    ok = True
 
     # large-separation tails at M dx = 30
     p = FieldParams(m=1.0, gamma=0.0)
     tail = fc.commutator_omega_pi_closed(30.0, p, table).norm()
     tail_w0 = fc.weighted_commutators("omega_omega", 30.0, p, table).value_at(30.0).norm()
     tail_w1 = fc.weighted_commutators("pi_pi", 30.0, p, table).value_at(30.0).norm()
-    if max(tail, tail_w0, tail_w1) >= 1e-8:
-        ok = False
-        details.append(f"tail too large: {max(tail, tail_w0, tail_w1):.2e}")
 
     # kernel coefficients: M^2 -> 0 leaves pure delta''; m = 0 adds +gamma^2/4 delta
     p0 = FieldParams(m=1.0, gamma=2.0)      # M^2 = 0
     r0 = fc.commutator_pi_pidagger(table, p0)
-    if not r0.delta_coeff.is_zero():
-        ok = False
-        details.append("M^2=0 delta coefficient nonzero")
     pm = FieldParams(m=0.0, gamma=2.0)      # M^2 = -1
     rm = fc.commutator_pi_pidagger(table, pm)
     expect = rm.delta2_coeff * Bicomplex.from_complex(pm.gamma ** 2 / 4.0)
-    if not rm.delta_coeff.is_close(expect, 1e-14):
-        ok = False
-        details.append("m=0 delta coefficient != gamma^2/4 * bracket")
 
     # monotone decay of the closed form beyond M dx = 5 (mass increasing, dx fixed)
-    dx = 1.0
-    prev = None
-    for mm in range(5, 16):
-        val = fc.commutator_omega_pi_closed(dx, FieldParams(m=float(mm)), table).norm()
-        if prev is not None and val >= prev:
-            ok = False
-            details.append(f"decay not monotone at M={mm}")
-        prev = val
+    decay = [fc.commutator_omega_pi_closed(1.0, FieldParams(m=float(mm)),
+                                           table).norm() for mm in range(5, 16)]
     return _report(5, "asymptotic limits of the commutators",
                    "tails < 1e-8 at M dx = 30; kernel coefficients exact; "
                    "monotone decay beyond M dx = 5",
-                   ok, "; ".join(details) if details else
-                   f"tails <= {max(tail, tail_w0, tail_w1):.1e}, kernels exact, decay monotone")
+                   [("largest tail at M dx = 30", max(tail, tail_w0, tail_w1),
+                     1e-8, "<"),
+                    ("nonzero parts of the M^2=0 delta coefficient",
+                     sum(c != 0 for c in r0.delta_coeff.to_tuple()), 0, "=="),
+                    ("|m=0 delta coefficient - gamma^2/4 bracket|",
+                     (rm.delta_coeff - expect).norm(), 1e-14, "<="),
+                    ("non-decreasing steps over M = 5..15", _rises(decay), 0,
+                     "==")])
 
 
 # -- 6: factor-5 provenance ---------------------------------------------------
@@ -262,10 +269,9 @@ def criterion_6_factor_five(n_samples: int = 1000, seed: int = 13) -> dict:
         w = omega(k, p)
         hg = h_gamma(k, k, p)
         worst = max(worst, abs(hg.real - 2.5 * w * w) / max(abs(hg.real), 1e-30))
-    ok = worst <= 1e-12
     return _report(6, "diagonal Hamiltonian weight has real part (5/2) w^2",
                    "<= 1e-12 relative over 1000 random samples",
-                   ok, f"worst relative deviation {worst:.2e}")
+                   [("worst relative deviation", worst, 1e-12, "<=")])
 
 
 # -- 7: v.e.v. cancellation ---------------------------------------------------
@@ -283,14 +289,13 @@ def criterion_7_vev_cancellation(table: CommutationTable | None = None) -> dict:
     vq_u = vev_Q(p, table, rules_u)
     # zero up to rounding of the canonical-basis functional, relative to
     # the generic-eigenvalue scale of the same sums
-    ok = (vh.norm() <= 1e-12 * vh_u.norm() and vq.norm() <= 1e-12 * vq_u.norm()
-          and vh_u.norm() > 1e-6 and vq_u.norm() > 1e-6)
     return _report(7, "vacuum energy and charge cancel under the constraints",
                    "zero to 1e-12 of the generic scale when constrained; "
                    "nonzero for generic eigenvalues",
-                   ok, f"constrained |<H>|={vh.norm():.1e} |<Q>|={vq.norm():.1e}; "
-                       f"generic |<H>|={vh_u.norm():.2e} |<Q>|={vq_u.norm():.2e} "
-                       f"on a {len(table.momentum_indices())}-mode lattice")
+                   [("constrained |<H>|", vh.norm(), 1e-12 * vh_u.norm(), "<="),
+                    ("constrained |<Q>|", vq.norm(), 1e-12 * vq_u.norm(), "<="),
+                    ("generic |<H>|", vh_u.norm(), 1e-6, ">"),
+                    ("generic |<Q>|", vq_u.norm(), 1e-6, ">")])
 
 
 def _states_lattice(table: CommutationTable | None, n_max: int = 4,
@@ -314,25 +319,17 @@ def criterion_8_alignment(table: CommutationTable | None = None) -> dict:
     p = FieldParams(m=1.0, gamma=0.5)
     geom = GeometrySpec("infinite_line")
     rules = VacuumRules.constrained_rules(0.5, -0.25j)
-    ok = True
-    details = []
-    for t in (0.1, 1.0, 10.0, 100.0):
-        ov = overlap_with_vacuum(t, p, geom, table, rules)
-        if not ov.is_close(Bicomplex.one(), 0.0):
-            ok = False
-            details.append(f"overlap(t={t}) != 1")
+    checks = [(f"|overlap(t={t:g}) - 1|",
+               (overlap_with_vacuum(t, p, geom, table, rules)
+                - Bicomplex.one()).norm(), 0.0, "<=")
+              for t in (0.1, 1.0, 10.0, 100.0)]
     # exponent scale: sum of per-pair weights at t chosen so t * scale <= 0.1
     scale = sum(abs(w) for _i, _j, w in hamiltonian_terms(p, geom, table))
-    t_small = 0.1 / scale
-    dev = norm_preservation(t_small, 4, p, geom, table, rules)
-    if dev > 1e-4:
-        ok = False
-        details.append(f"norm deviation {dev:.2e}")
+    dev = norm_preservation(0.1 / scale, 4, p, geom, table, rules)
+    checks.append(("norm deviation at order 4", dev, 1e-4, "<="))
     return _report(8, "evolved vacuum stays aligned and normalized",
                    "overlap == 1 exact for t <= 100; truncated norm deviation "
-                   "<= 1e-4 at order 4, t*scale <= 0.1",
-                   ok, "; ".join(details) if details else
-                   f"overlap exact; norm deviation {dev:.1e} at order 4")
+                   "<= 1e-4 at order 4, t*scale <= 0.1", checks)
 
 
 # -- 9: entanglement witness --------------------------------------------------
@@ -342,19 +339,18 @@ def criterion_9_entanglement(table: CommutationTable | None = None) -> dict:
     geom = GeometrySpec("infinite_line")
     rules = VacuumRules.constrained_rules()
     part = {table.momentum_indices()[0]}
-    ranks = {}
+    checks = []
     for gamma in (0.5, 0.0):
         p = FieldParams(m=1.0, gamma=gamma)
         state = asymptotic_state_finite(1, p, -1.0, 2.0, table)
-        ranks[gamma] = schmidt_rank(state, part)
+        checks.append((f"rank(gamma={gamma:g})", schmidt_rank(state, part), 2,
+                       ">="))
     p = FieldParams(m=1.0, gamma=0.5)
     rank_t0 = schmidt_rank(evolve_vacuum(0.0, 2, p, geom, table, rules), part)
-    ok = ranks[0.5] >= 2 and ranks[0.0] >= 2 and rank_t0 == 1
+    checks.append(("rank(t=0)", rank_t0, 1, "=="))
     return _report(9, "asymptotic states are momentum-entangled",
                    "Schmidt rank >= 2 at order 1 (gamma > 0 and gamma = 0); "
-                   "rank 1 at t = 0",
-                   ok, f"rank(gamma=0.5)={ranks[0.5]}, rank(gamma=0)={ranks[0.0]}, "
-                       f"rank(t=0)={rank_t0}")
+                   "rank 1 at t = 0", checks)
 
 
 # -- 10: cyclostationarity ----------------------------------------------------
@@ -363,16 +359,19 @@ def criterion_10_cyclostationarity(table: CommutationTable | None = None) -> dic
     table = _states_lattice(table)
     ts = [0.0, 1.0, 10.0, 50.0, 100.0]
     diag0 = asymptotic_state_infinite(ts, FieldParams(m=1.0, gamma=0.0), table)
-    cyclo_ok = all(d["is_cyclostationary"] for d in diag0 if d["t"] > 0)
     diagg = asymptotic_state_infinite([1.0, 5.0], FieldParams(m=1.0, gamma=0.7), table)
-    rate_ok = all(
-        abs(d["modulus_growth_rate"] - d["predicted_growth_rate"])
-        <= 0.01 * d["predicted_growth_rate"] and d["divergent"] for d in diagg)
-    ok = cyclo_ok and rate_ok
+    checks = [("non-cyclostationary t > 0 at gamma=0",
+               sum(not d["is_cyclostationary"] for d in diag0 if d["t"] > 0),
+               0, "==")]
+    checks += [(f"|growth rate - predicted| at t={d['t']:g}",
+                abs(d["modulus_growth_rate"] - d["predicted_growth_rate"]),
+                0.01 * d["predicted_growth_rate"], "<=") for d in diagg]
+    checks.append(("non-divergent t at gamma=0.7",
+                   sum(not d["divergent"] for d in diagg), 0, "=="))
     return _report(10, "infinite geometry: oscillation vs divergence",
                    "modulus drift < 1e-12 on t in [0, 100] at gamma = 0; "
                    "growth rate within 1% of gamma * lattice sum at gamma > 0",
-                   ok, f"cyclostationary={cyclo_ok}, growth-rate match={rate_ok}")
+                   checks)
 
 
 # -- 11: projection views -----------------------------------------------------
@@ -383,21 +382,24 @@ def criterion_11_projections(table: CommutationTable | None = None) -> dict:
     state = asymptotic_state_finite(2, p, -1.0, 2.0, table)
     pv = project_view(state, "plus")
     mv = project_view(state, "minus")
-    plus_tags_ok = all({l[0] for l in key} == {st.TAG_MIRROR}
-                       for key in pv.excited_support())
-    minus_tags_ok = all({l[0] for l in key} == {st.TAG_SYSTEM}
-                        for key in mv.excited_support())
-    disjoint = pv.excited_support().isdisjoint(mv.excited_support())
-    rec = pv + mv
-    recompose = (set(rec.amplitudes) == set(state.amplitudes) and all(
-        rec.amplitudes[k].is_close(state.amplitudes[k], 0.0)
-        for k in state.amplitudes))
-    ok = plus_tags_ok and minus_tags_ok and disjoint and recompose
+    plus, minus = pv.excited_support(), mv.excited_support()
+    rec = (pv + mv).amplitudes
+    amps = state.amplitudes
     return _report(11, "sector projections split and recompose the state",
                    "disjoint excited supports with the right species tags; "
                    "exact recomposition",
-                   ok, f"plus tags={plus_tags_ok}, minus tags={minus_tags_ok}, "
-                       f"disjoint={disjoint}, recompose={recompose}")
+                   [("plus-view kets with other tags",
+                     sum({l[0] for l in key} != {st.TAG_MIRROR} for key in plus),
+                     0, "=="),
+                    ("minus-view kets with other tags",
+                     sum({l[0] for l in key} != {st.TAG_SYSTEM} for key in minus),
+                     0, "=="),
+                    ("kets excited in both views", len(plus & minus), 0, "<="),
+                    ("kets in only one of state and recomposition",
+                     len(set(rec) ^ set(amps)), 0, "=="),
+                    ("worst recomposition error",
+                     max(((rec[k] - amps[k]).norm() for k in amps if k in rec),
+                         default=0.0), 0.0, "<=")])
 
 
 # -- 12: figure shape regression ----------------------------------------------
@@ -405,43 +407,30 @@ def criterion_11_projections(table: CommutationTable | None = None) -> dict:
 def criterion_12_figures(table: CommutationTable | None = None) -> dict:
     table = table or generic_table()
     p = FieldParams(m=1.0, gamma=0.0)
-    details = []
-    ok = True
 
     rows = fc.figure_data("fig1", (0.05, 30.0, 120), p, table)
     mags = [math.hypot(r, i) for _x, r, i in rows]
-    if not all(a > b for a, b in zip(mags, mags[1:])):
-        ok = False
-        details.append("fig1 profile not monotonically decaying")
-    if mags[0] < 100.0 * mags[10]:
-        ok = False
-        details.append("fig1 profile does not blow up toward dx = 0")
-    if mags[-1] >= 1e-8:
-        ok = False
-        details.append("fig1 tail not below 1e-8")
+    checks = [("fig1 non-decreasing steps", _rises(mags), 0, "=="),
+              ("fig1 |value| at dx = 0.05", mags[0], 100.0 * mags[10], ">="),
+              ("fig1 tail", mags[-1], 1e-8, "<")]
 
     rows2 = fc.figure_data("fig2", (0.2, 4.0, 160, 1.0), p, table)
     vals = [complex(r, i) for _x, r, i in rows2]
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals):
-        ok = False
-        details.append("fig2 sweep not finite")
     jumps = [abs(b - a) for a, b in zip(vals, vals[1:])]
     scale = max(abs(v) for v in vals)
-    if max(jumps) > 0.1 * scale:
-        ok = False
-        details.append("fig2 sweep not continuous")
+    checks += [("fig2 non-finite values", sum(
+                    not (math.isfinite(v.real) and math.isfinite(v.imag))
+                    for v in vals), 0, "=="),
+               ("fig2 largest jump", max(jumps), 0.1 * scale, "<=")]
 
     for fig in ("fig6", "fig7"):
         rows3 = fc.figure_data(fig, (0.1, 30.0, 100), p, table)
         mags3 = [math.hypot(r, i) for _x, r, i in rows3]
-        if not (all(a > b for a, b in zip(mags3, mags3[1:]))
-                and mags3[-1] < 1e-8):
-            ok = False
-            details.append(f"{fig} profile shape wrong")
+        checks += [(f"{fig} non-decreasing steps", _rises(mags3), 0, "=="),
+                   (f"{fig} tail", mags3[-1], 1e-8, "<")]
     return _report(12, "figure sweeps reproduce the captioned shapes",
                    "divergence at dx -> 0, decay at dx -> inf, continuity in M",
-                   ok, "; ".join(details) if details else
-                   "fig1/fig2/fig6/fig7 shapes as captioned")
+                   checks)
 
 
 CRITERIA = [
@@ -461,17 +450,17 @@ CRITERIA = [
 
 
 def run_all(table: CommutationTable | None = None) -> list[dict]:
-    """Run every acceptance criterion; table overrides apply where relevant."""
-    takes_table = {3, 4, 5, 7, 8, 9, 10, 11, 12}
+    """Run every acceptance criterion, timed; table goes to those taking one."""
     reports = []
     for fn in CRITERIA:
         cid = int(fn.__name__.split("_")[1])
+        takes_table = "table" in inspect.signature(fn).parameters
+        t0 = time.perf_counter()
         try:
-            if table is not None and cid in takes_table:
-                reports.append(fn(table))
-            else:
-                reports.append(fn())
+            report = fn(table) if table is not None and takes_table else fn()
         except Exception as exc:  # a raising criterion is a failing criterion
-            reports.append(_report(cid, fn.__name__, "n/a", False,
-                                   f"raised {type(exc).__name__}: {exc}"))
+            report = dict(_report(cid, fn.__name__, "n/a", []),
+                          detail=f"raised {type(exc).__name__}: {exc}")
+        report["seconds"] = time.perf_counter() - t0
+        reports.append(report)
     return reports

@@ -2,16 +2,20 @@
 
 Each test delegates to the corresponding function in
 hyperfield.verification (the same code path the `hyperfield verify`
-command uses) and prints one pass/fail line.
+command uses) and prints its report line.  The guard tests check that
+every report is derived from its check records, and that seeded defects
+fail through them.
 """
 
+import pytest
+
 from hyperfield import verification as vf
+from hyperfield.operators import CommutationTable
+from hyperfield.ring import Bicomplex
 
 
 def _check(report: dict):
-    mark = "PASS" if report["passed"] else "FAIL"
-    print(f"[{mark}] criterion {report['id']:>2}: {report['name']} "
-          f"(tolerance: {report['tolerance']}) -- {report['detail']}")
+    print(vf.report_line(report))
     assert report["passed"], report["detail"]
 
 
@@ -63,7 +67,78 @@ def test_criterion_12_figures():
     _check(vf.criterion_12_figures())
 
 
-def test_all_criteria_via_runner():
-    reports = vf.run_all()
+@pytest.fixture(scope="module")
+def reports():
+    return vf.run_all()
+
+
+def test_all_criteria_via_runner(reports):
     assert len(reports) == 12
     assert all(r["passed"] for r in reports)
+
+
+def _assert_derived(report: dict):
+    """passed and detail follow from the check records and nothing else."""
+    checks = report["checks"]
+    assert checks, report
+    for c in checks:
+        assert c["relation"] in vf.RELATIONS, c
+        assert c["passed"] == vf.RELATIONS[c["relation"]](c["measured"],
+                                                          c["bound"])
+        if not c["passed"]:
+            assert f"FAILED {c['name']} " in report["detail"]
+    assert report["passed"] == all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("index", range(len(vf.CRITERIA)),
+                         ids=[fn.__name__ for fn in vf.CRITERIA])
+def test_report_is_derived_from_its_checks(reports, index):
+    report = reports[index]
+    assert report["id"] == index + 1
+    assert report["seconds"] >= 0.0
+    _assert_derived(report)
+
+
+def test_perturbed_h_gamma_fails_criterion_6(monkeypatch):
+    h_gamma = vf.h_gamma
+    monkeypatch.setattr(vf, "h_gamma", lambda k, kp, p: h_gamma(k, kp, p)
+                        + 1e-9 * h_gamma(k, kp, p).real)
+    report = vf.criterion_6_factor_five()
+    _assert_derived(report)
+    assert not report["passed"]
+    assert "FAILED worst relative deviation" in report["detail"]
+
+
+def test_sigma_table_fails_criterion_3_through_its_checks():
+    table = CommutationTable(rho=(Bicomplex.one(),) + (Bicomplex.zero(),) * 3,
+                             sigma=(Bicomplex(0.3, 0, 0, 0),) * 4,
+                             delta_k=0.1, N=16, stagger=True)
+    report = vf.criterion_3_commutator_invariance(table)
+    _assert_derived(report)
+    assert not report["passed"]
+    assert "FAILED " in report["detail"]
+
+
+def test_raising_criterion_fails_without_checks(monkeypatch):
+    def criterion_6_seeded():
+        raise ArithmeticError("seeded defect")
+    monkeypatch.setattr(vf, "CRITERIA", [criterion_6_seeded])
+    [report] = vf.run_all()
+    assert report["id"] == 6 and report["passed"] is False
+    assert report["checks"] == []
+    assert report["detail"] == "raised ArithmeticError: seeded defect"
+
+
+def test_table_goes_only_to_criteria_that_take_one(monkeypatch):
+    seen = []
+
+    def criterion_1_plain():
+        seen.append(None)
+        return vf._report(1, "plain", "", [("x", 0, 0, "==")])
+
+    def criterion_2_table(table=None):
+        seen.append(table)
+        return vf._report(2, "table", "", [("x", 0, 0, "==")])
+    monkeypatch.setattr(vf, "CRITERIA", [criterion_1_plain, criterion_2_table])
+    assert all(r["passed"] for r in vf.run_all(table="T"))
+    assert seen == [None, "T"]

@@ -177,15 +177,38 @@ class TestConfig:
         ["asymptotic", "--geometry", "infinite", "--t-values", "1,x"],
         ["evolve", "--t", "nan", "--order", "1"],
         ["evolve", "--t", "0.1", "--order", "-1"],
+        ["commutator", "--which", "omega-pi", "--x-min", "0", "--x-max", "1",
+         "--steps", "3"],
+        ["commutator", "--which", "omega-pi", "--m", "0.1", "--gamma", "1",
+         "--steps", "2"],
+        ["evolve", "--t", "0.1", "--order", "1", "--L1", "0", "--L2", "3"],
+        ["asymptotic", "--geometry", "infinite", "--L2", "3"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
-            "order_negative"])
+            "order_negative", "sweep_through_dx_0", "m2_not_positive",
+            "evolve_L1_without_finite", "asymptotic_L2_without_finite"])
     def test_malformed_flag_is_usage_error(self, tmp_path, args):
         r = run_cli(args, tmp_path)
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.splitlines()) == 1, r.stderr
+
+    @pytest.mark.parametrize("verb", [["evolve", "--t", "0.1"], ["asymptotic"]],
+                             ids=["evolve", "asymptotic"])
+    def test_finite_geometry_reads_config_interval(self, tmp_path, monkeypatch,
+                                                   verb):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"geometry": {
+            "kind": "finite_interval", "L1": 0.0, "L2": 3.0}}))
+        args = ["--config", str(cfg), *verb, "--order", "1", "--geometry",
+                "finite"]
+        assert main([*args, "--output", "config.json"]) == 0
+        assert main([*args, "--L1", "0", "--L2", "3", "--output",
+                     "flags.json"]) == 0
+        assert ((tmp_path / "config.json").read_bytes()
+                == (tmp_path / "flags.json").read_bytes())
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"

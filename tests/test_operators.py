@@ -240,3 +240,16 @@ class TestLatticeRefinement:
         coarse = value(0.5, 20)   # span 10
         fine = value(0.25, 40)
         assert abs(coarse - fine) / abs(fine) < 0.01
+
+
+class TestMirrorIndex:
+    @pytest.mark.parametrize("stagger", [False, True],
+                             ids=["unstaggered", "staggered"])
+    @pytest.mark.parametrize("N", [1, 4, 16])
+    def test_mirror_carries_exactly_the_opposite_momentum(self, N, stagger):
+        t = CommutationTable(delta_k=0.1, N=N, stagger=stagger)
+        indices = t.momentum_indices()
+        for i in indices:
+            j = t.mirror_index(i)
+            assert j in indices
+            assert t.momentum(j) == -t.momentum(i)
