@@ -4,14 +4,12 @@ from .errors import (DomainError, HyperfieldError, ImaginaryFrequency,
                      NonConvergent, NotInvertible, PoleAtZeroMomentum,
                      TruncationOrderTooLarge, UndeterminedByAxioms)
 from .ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS, J_UNIT, ONE,
-                   ZERO, exp_bicomplex, exp_hyperbolic_split, exp_ring,
-                   idempotent_decompose)
+                   ZERO, exp_bicomplex, exp_ring)
 from .modes import (FieldParams, ModeSolution, dissipative_coefficients,
                     eom_residual, field_value, make_mode, omega)
 from .operators import (CommutationTable, ModeOp, OperatorPoly, VacuumRules,
                         anticommutator, commutator, generic_table,
-                        normal_order, pair_commutation_check, polys_equal,
-                        vev)
+                        normal_order, vev)
 from .commutators import (CommutatorResult, QuadratureSpec, bessel_k,
                           commutator_omega_omegadagger,
                           commutator_omega_pi_closed,

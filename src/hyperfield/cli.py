@@ -186,6 +186,8 @@ def _write_json(path: str, payload) -> None:
 # -- verbs -------------------------------------------------------------------
 
 def cmd_ring_check(args) -> int:
+    if args.checks < 1:
+        raise ConfigError("--checks must be >= 1")
     mul_fn = None
     if args.selftest_defect:
         # deliberately broken product (unit table with j^2 = -1) to
@@ -252,14 +254,16 @@ def cmd_evolve(args, cfg: dict) -> int:
     table = _table(cfg)
     if not _is_real(args.t):
         raise ConfigError("--t must be a finite number")
-    _warn_lattice_span(cfg)
     geom = _geometry(cfg)
     order = cfg["truncation_order"]
     rules = VacuumRules.constrained_rules()
     state = evolve_vacuum(args.t, order, params, geom, table, rules)
+    dev = norm_deviation(state)  # not finite once an amplitude overflows
+    if not math.isfinite(dev):
+        raise ConfigError(f"--t {args.t:g} overflows the evolved state")
+    _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"], "evolved_state.json")
     _write_json(out, state.to_jsonable())
-    dev = norm_deviation(state)
     part = {table.momentum_indices()[0]}
     rank = schmidt_rank(state, part)
     print(f"t={args.t} order={order} kets={len(state.amplitudes)} "
@@ -277,9 +281,9 @@ def cmd_asymptotic(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
     ts = _times(args.t_values) if args.t_values else [0.0, 1.0, 10.0, 100.0]
-    _warn_lattice_span(cfg)
     order = cfg["truncation_order"]
     if args.geometry == "finite":
+        _warn_lattice_span(cfg)
         L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
         state = asymptotic_state_finite(order, params, L1, L2, table)
         out = args.output or os.path.join(cfg["output_dir"],
@@ -291,6 +295,9 @@ def cmd_asymptotic(args, cfg: dict) -> int:
         print(f"wrote state to {out}")
         return 0
     diags = asymptotic_state_infinite(ts, params, table)
+    if not all(math.isfinite(d["log_modulus"]) for d in diags):
+        raise ConfigError(f"--t-values {args.t_values} overflow the diagnostics")
+    _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"],
                                       "asymptotic_diagnostics.json")
     _write_json(out, diags)

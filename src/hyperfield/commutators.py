@@ -58,17 +58,17 @@ def bessel_k(order: int, z: float) -> float:
     raise DomainError(f"order must be 0 or 1, got {order}")
 
 
-def difference_bracket(table: CommutationTable, k: float = 0.0) -> Bicomplex:
-    """J+ (rho1 - conj rho4) + J- (conj rho1 - rho4) at momentum pair (k, k)."""
-    r1 = table.rho_at(0, k, k)
-    r4 = table.rho_at(3, k, k)
+def difference_bracket(table: CommutationTable) -> Bicomplex:
+    """J+ (rho1 - conj rho4) + J- (conj rho1 - rho4) at k = k' = 0."""
+    r1 = table.rho_at(0, 0.0, 0.0)
+    r4 = table.rho_at(3, 0.0, 0.0)
     return J_PLUS * (r1 - r4.conj()) + J_MINUS * (r1.conj() - r4)
 
 
-def sum_bracket(table: CommutationTable, k: float = 0.0) -> Bicomplex:
-    """J+ (rho1 + conj rho4) + J- (conj rho1 + rho4) at momentum pair (k, k)."""
-    r1 = table.rho_at(0, k, k)
-    r4 = table.rho_at(3, k, k)
+def sum_bracket(table: CommutationTable) -> Bicomplex:
+    """J+ (rho1 + conj rho4) + J- (conj rho1 + rho4) at k = k' = 0."""
+    r1 = table.rho_at(0, 0.0, 0.0)
+    r4 = table.rho_at(3, 0.0, 0.0)
     return J_PLUS * (r1 + r4.conj()) + J_MINUS * (r1.conj() + r4)
 
 
@@ -196,6 +196,14 @@ def lattice_commutator(which: str, x: float, xprime: float, t: float,
     that is not a single ladder operator, the case where the sum would
     not be central.
     """
+    return sum(_contraction_terms(which, x, xprime, t, params, table,
+                                  weighted), Bicomplex.zero())
+
+
+def _contraction_terms(which: str, x: float, xprime: float, t: float,
+                       params: FieldParams, table: CommutationTable,
+                       weighted: bool):
+    """The nonzero terms a_p b_q [op_p, op_q] of lattice_commutator, in order."""
     if which == "omega_omega":
         left = field_operator_poly(x, t, params, table, weighted)
         right = field_operator_poly(xprime, t, params, table, weighted).adjoint()
@@ -210,7 +218,6 @@ def lattice_commutator(which: str, x: float, xprime: float, t: float,
     by_index: dict = {}
     for op, b in _linear_terms(right):
         by_index.setdefault(op.index, []).append((op, b))
-    total = Bicomplex.zero()
     for op, a in _linear_terms(left):
         i = op.index
         mirror = table.mirror_index(i)
@@ -218,8 +225,7 @@ def lattice_commutator(which: str, x: float, xprime: float, t: float,
             for op2, b in by_index.get(j, ()):
                 c = commutator(op, op2, table)
                 if not c.is_zero():
-                    total = total + a * b * c
-    return total
+                    yield a * b * c
 
 
 def _linear_terms(poly: OperatorPoly):

@@ -2,8 +2,9 @@
 
 The coupled equations of motion split over the idempotent basis into a
 damped sector (J+, coefficient -gamma/2) and an anti-damped mirror sector
-(J-, coefficient +gamma/2).  Only real frequencies are admitted; momenta
-with k^2 + M^2 < 0 fall in the IR-cutoff region and are rejected.
+(J-, coefficient +gamma/2).  Space is one-dimensional, so momenta are
+scalars.  Only real frequencies are admitted; momenta with k^2 + M^2 < 0
+fall in the IR-cutoff region and are rejected.
 """
 
 from __future__ import annotations
@@ -36,30 +37,18 @@ class FieldParams:
         return self.m * self.m - self.gamma * self.gamma / 4.0
 
 
-def _ksq(k) -> float:
-    if isinstance(k, (int, float)):
-        return float(k) * float(k)
-    return sum(float(c) * float(c) for c in k)
-
-
-def _kdotx(k, x) -> float:
-    if isinstance(k, (int, float)):
-        return float(k) * float(x)
-    return sum(float(a) * float(b) for a, b in zip(k, x))
-
-
 def dissipative_coefficients(params: FieldParams) -> tuple[float, float]:
     """Damping exponents of the two sectors: (-gamma/2, +gamma/2)."""
     return (-params.gamma / 2.0, params.gamma / 2.0)
 
 
-def omega(k, params: FieldParams) -> float:
+def omega(k: float, params: FieldParams) -> float:
     """Positive frequency sqrt(k^2 + M^2).
 
     Raises ImaginaryFrequency when k^2 + M^2 < 0 (IR-cutoff region for
     gamma > 2m).
     """
-    rad = _ksq(k) + params.m2_mod
+    rad = k * k + params.m2_mod
     if rad < 0.0:
         raise ImaginaryFrequency(
             f"k^2 + M^2 = {rad} < 0: momentum below the IR cutoff")
@@ -78,7 +67,7 @@ class ModeSolution:
     branch: str
     coeff_a: Bicomplex
     coeff_b: Bicomplex
-    k: object
+    k: float
     omega: float
     Gamma: float
 
@@ -86,7 +75,7 @@ class ModeSolution:
         return J_PLUS if self.branch == PLUS else J_MINUS
 
 
-def make_mode(branch: str, k, params: FieldParams,
+def make_mode(branch: str, k: float, params: FieldParams,
               coeff_a: Bicomplex, coeff_b: Bicomplex) -> ModeSolution:
     """Mode with frequency and damping consistent with the field parameters."""
     if branch not in (PLUS, MINUS):
@@ -106,7 +95,7 @@ def _superpose(modes: list[ModeSolution], x, t: float, factors) -> Bicomplex:
     for mode in modes:
         fa, fb = factors(mode)
         damp = math.exp(mode.Gamma * t)
-        ephase = cmath.exp(1j * complex(mode.omega * t - _kdotx(mode.k, x)))
+        ephase = cmath.exp(1j * complex(mode.omega * t - mode.k * x))
         osc = (mode.coeff_a * Bicomplex.from_complex(fa * ephase)
                + mode.coeff_b * Bicomplex.from_complex(fb / ephase))
         total = total + mode.projector() * (damp * osc)
@@ -123,12 +112,8 @@ def field_time_derivative(modes: list[ModeSolution], x, t: float) -> Bicomplex:
         mode.Gamma + 1j * mode.omega, mode.Gamma - 1j * mode.omega))
 
 
-def field_space_derivative(modes: list[ModeSolution], x, t: float,
-                           axis: int = 0) -> Bicomplex:
-    def factors(mode):
-        kc = mode.k if isinstance(mode.k, (int, float)) else mode.k[axis]
-        return -1j * kc, 1j * kc
-    return _superpose(modes, x, t, factors)
+def field_space_derivative(modes: list[ModeSolution], x, t: float) -> Bicomplex:
+    return _superpose(modes, x, t, lambda mode: (-1j * mode.k, 1j * mode.k))
 
 
 def eom_residual(mode: ModeSolution, params: FieldParams, x, t: float) -> Bicomplex:
@@ -139,7 +124,7 @@ def eom_residual(mode: ModeSolution, params: FieldParams, x, t: float) -> Bicomp
     plus sector and - for the minus sector.
     """
     sign = 1.0 if mode.branch == PLUS else -1.0
-    ksq = _ksq(mode.k)
+    ksq = mode.k * mode.k
     m2 = params.m * params.m
 
     def factor(freq_sign: float) -> complex:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .modes import (FieldParams, ModeSolution, field_space_derivative,
                     field_time_derivative, field_value, omega)
-from .operators import (CommutationTable, ModeOp, OperatorPoly, VacuumRules,
-                        anticommutator, vev)
+from .operators import (CommutationTable, OperatorPoly, VacuumRules,
+                        pair_poly, vev)
 from .ring import Bicomplex, J_MINUS, J_PLUS, J_UNIT
 
 TWO_PI = 2.0 * math.pi
@@ -123,14 +123,10 @@ def hamiltonian_poly(params: FieldParams, geom: GeometrySpec,
         c = Bicomplex.from_complex(w)
         cc = Bicomplex.from_complex(w.conjugate())
         _merge_all(total, (
-            anticommutator(ModeOp("a1", i, False),
-                           ModeOp("b1", j, False)).scale(J_PLUS * c),
-            anticommutator(ModeOp("b2", j, False),
-                           ModeOp("a2", i, False)).scale(J_MINUS * c),
-            anticommutator(ModeOp("a1", i, True),
-                           ModeOp("b1", j, True)).scale(J_MINUS * cc),
-            anticommutator(ModeOp("b2", j, True),
-                           ModeOp("a2", i, True)).scale(J_PLUS * cc)))
+            pair_poly(("a1", "b1"), i, j, J_PLUS * c),
+            pair_poly(("b2", "a2"), j, i, J_MINUS * c),
+            pair_poly(("a1", "b1"), i, j, J_MINUS * cc, True),
+            pair_poly(("b2", "a2"), j, i, J_PLUS * cc, True)))
     return total
 
 
@@ -147,14 +143,10 @@ def charge_poly(params: FieldParams, table: CommutationTable) -> OperatorPoly:
         w = omega(table.momentum(i), params)
         c = Bicomplex.from_complex(-2j * dk * w)
         _merge_all(total, (
-            anticommutator(ModeOp("a1", i, False),
-                           ModeOp("b1", i, False)).scale(J_PLUS * c),
-            anticommutator(ModeOp("a1", i, True),
-                           ModeOp("b1", i, True)).scale(J_MINUS * c),
-            anticommutator(ModeOp("b2", i, True),
-                           ModeOp("a2", i, True)).scale(J_PLUS * (-1.0 * c)),
-            anticommutator(ModeOp("b2", i, False),
-                           ModeOp("a2", i, False)).scale(J_MINUS * (-1.0 * c))))
+            pair_poly(("a1", "b1"), i, i, J_PLUS * c),
+            pair_poly(("a1", "b1"), i, i, J_MINUS * c, True),
+            pair_poly(("b2", "a2"), i, i, J_PLUS * (-1.0 * c), True),
+            pair_poly(("b2", "a2"), i, i, J_MINUS * (-1.0 * c))))
     return total
 
 

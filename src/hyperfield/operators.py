@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .errors import UndeterminedByAxioms
 from .ring import Bicomplex, J_MINUS, J_PLUS
 
-SPECIES = ("a1", "b1", "a2", "b2")
 _RANK = {"a1": 0, "b1": 1, "a2": 2, "b2": 3}
 _A_FAMILY = {"a1", "a2"}
 
@@ -211,14 +210,8 @@ class OperatorPoly:
             result._merged(new_word, coeff.conj(), out)
         return result
 
-    def commutator_with(self, other: "OperatorPoly") -> "OperatorPoly":
-        return self * other - other * self
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(c.norm() <= tol for c in self.terms.values())
-
-    def scalar_part(self) -> Bicomplex:
-        return self.terms.get((), Bicomplex.zero())
 
     def max_norm(self) -> float:
         return max((c.norm() for c in self.terms.values()), default=0.0)
@@ -238,16 +231,17 @@ def anticommutator(op1: ModeOp, op2: ModeOp) -> OperatorPoly:
     return out + OperatorPoly.from_word((op2, op1))
 
 
-def pair_poly(species_pair, k_index: int, kp_index: int, sector,
+def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
               dagger: bool = False) -> OperatorPoly:
-    """Projected anticommutator J_sector {s1(k), s2(k')} used everywhere.
+    """Weighted anticommutator coeff {s1(k), s2(k')}, both daggered or not.
 
-    species_pair is a tuple like ("a1", "b1"); sector is J_PLUS or J_MINUS.
+    species_pair is a tuple like ("a1", "b1"); coeff is a ring element,
+    such as J_PLUS or J_MINUS times a Hamiltonian weight.
     """
     s1, s2 = species_pair
     o1 = ModeOp(s1, k_index, dagger)
     o2 = ModeOp(s2, kp_index, dagger)
-    return anticommutator(o1, o2).scale(sector)
+    return anticommutator(o1, o2).scale(coeff)
 
 
 def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
@@ -278,12 +272,6 @@ def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
         if not central.is_zero():
             stack.append((word[:i] + word[i + 2:], coeff * central))
     return result
-
-
-def polys_equal(p: OperatorPoly, q: OperatorPoly, table: CommutationTable,
-                tol: float = 0.0) -> bool:
-    """Equality as algebra elements (compares normal forms)."""
-    return (normal_order(p, table) - normal_order(q, table)).is_zero(tol)
 
 
 @dataclass(frozen=True)
@@ -443,21 +431,3 @@ def vev(poly: OperatorPoly, rules: VacuumRules,
                 cm * _sector_vev(word, -1, rules, table))
     return total
 
-
-def pair_commutation_check(table: CommutationTable) -> bool:
-    """True iff every annihilation operator commutes with every creator.
-
-    This is the property that lets the evolution exponent factor into
-    commuting creation and annihilation parts; it fails whenever a sigma
-    coefficient is switched on.
-    """
-    indices = table.momentum_indices()
-    for s_ann in SPECIES:
-        for s_cre in SPECIES:
-            for i in indices:
-                for j in indices:
-                    c = commutator(ModeOp(s_ann, i, False),
-                                   ModeOp(s_cre, j, True), table)
-                    if not c.is_zero():
-                        return False
-    return True

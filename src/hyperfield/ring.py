@@ -175,21 +175,11 @@ def idempotents_exact():
     return (Bicomplex(half, 0, half, 0), Bicomplex(half, 0, -half, 0))
 
 
-def idempotent_decompose(a: Bicomplex) -> tuple[complex, complex]:
-    """Sector components (plus, minus) with a = J+ * plus + J- * minus."""
-    return a.plus(), a.minus()
-
-
 def exp_bicomplex(alpha: float, beta: float) -> Bicomplex:
     """Bicomplex phase e^{i alpha + j beta}."""
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cosh(beta), math.sinh(beta)
     return Bicomplex(ca * cb, sa * cb, ca * sb, sa * sb)
-
-
-def exp_hyperbolic_split(chi: float) -> Bicomplex:
-    """Hyperbolic phase e^{j chi} assembled as e^{chi} J+ + e^{-chi} J-."""
-    return math.exp(chi) * J_PLUS + math.exp(-chi) * J_MINUS
 
 
 def exp_ring(a: Bicomplex) -> Bicomplex:

@@ -32,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 TAG_MIRROR = "2ba"    # J+ sector: pairs of b2+, a2+ quanta (environment copy)
 TAG_SYSTEM = "1ab"    # J- sector: pairs of a1+, b1+ quanta (subsystem)
 
-DEFAULT_BASIS_CAP = 200_000
+BASIS_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,10 @@ class StateVector:
     def inner(self, other: "StateVector") -> Bicomplex:
         """Ring inner product sum_K conj(amp_K) other_amp_K."""
         total = Bicomplex.zero()
-        small, large = ((self.amplitudes, other.amplitudes)
-                        if len(self.amplitudes) <= len(other.amplitudes)
-                        else (other.amplitudes, self.amplitudes))
-        for key, amp in small.items():
-            mate = large.get(key)
+        for key, amp in self.amplitudes.items():
+            mate = other.amplitudes.get(key)
             if mate is not None:
-                if small is self.amplitudes:
-                    total = total + amp.conj() * mate
-                else:
-                    total = total + mate.conj() * amp
+                total = total + amp.conj() * mate
         return total
 
     def __add__(self, other: "StateVector") -> "StateVector":
@@ -103,7 +97,7 @@ class StateVector:
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
 
 
-def _expand_exponential(pairs: dict, order: int, basis_cap: int) -> StateVector:
+def _expand_exponential(pairs: dict, order: int) -> StateVector:
     """exp of a creation exponent with per-pair scalars, truncated.
 
     pairs maps (k, kp) index pairs to complex weights.  Each pair gives the
@@ -121,9 +115,9 @@ def _expand_exponential(pairs: dict, order: int, basis_cap: int) -> StateVector:
         names = sorted(labels)
         for n in range(1, order + 1):
             count = math.comb(len(names) + n - 1, n)
-            if len(amps) + count > basis_cap:
+            if len(amps) + count > BASIS_CAP:
                 raise TruncationOrderTooLarge(
-                    f"basis would exceed cap {basis_cap} at order {n}")
+                    f"basis would exceed cap {BASIS_CAP} at order {n}")
             for combo in combinations_with_replacement(names, n):
                 scalar = complex(1.0)
                 mult = 1
@@ -143,8 +137,7 @@ def _expand_exponential(pairs: dict, order: int, basis_cap: int) -> StateVector:
 
 def evolve_vacuum(t: float, order: int, params: FieldParams,
                   geom: GeometrySpec, table: CommutationTable,
-                  rules: VacuumRules,
-                  basis_cap: int = DEFAULT_BASIS_CAP) -> StateVector:
+                  rules: VacuumRules) -> StateVector:
     """Truncated evolution of the vacuum, exp(i H t)|0>, constrained rules.
 
     Under the constraints the annihilation part of the exponent acts as
@@ -158,7 +151,7 @@ def evolve_vacuum(t: float, order: int, params: FieldParams,
         z = 1j * t * w.conjugate()
         if z != 0:
             pairs[(i, j)] = z
-    return _expand_exponential(pairs, order, basis_cap)
+    return _expand_exponential(pairs, order)
 
 
 def overlap_phases(t: float, params: FieldParams, geom: GeometrySpec,
@@ -188,16 +181,14 @@ def overlap_with_vacuum(t: float, params: FieldParams, geom: GeometrySpec,
 
 def norm_preservation(t: float, order: int, params: FieldParams,
                       geom: GeometrySpec, table: CommutationTable,
-                      rules: VacuumRules,
-                      basis_cap: int = DEFAULT_BASIS_CAP) -> float:
+                      rules: VacuumRules) -> float:
     """Deviation of <0(t)|0(t)> from 1 on the truncated state.
 
     In the ring pairing the excited amplitudes are zero divisors
     (conj(J+ c) J+ c = 0), so the deviation vanishes identically at every
     truncation order; the returned float records the numerical residue.
     """
-    return norm_deviation(
-        evolve_vacuum(t, order, params, geom, table, rules, basis_cap))
+    return norm_deviation(evolve_vacuum(t, order, params, geom, table, rules))
 
 
 def norm_deviation(state: StateVector) -> float:
@@ -219,8 +210,7 @@ def eta_k(k: float, params: FieldParams) -> complex:
 
 def asymptotic_state_finite(order: int, params: FieldParams, L1: float,
                             L2: float, table: CommutationTable,
-                            include_cross_term: bool = False,
-                            basis_cap: int = DEFAULT_BASIS_CAP) -> StateVector:
+                            include_cross_term: bool = False) -> StateVector:
     """Large-time state for a finite total system [L1, L2], truncated.
 
     The time-oscillating factor acts as a delta sequence in the frequency
@@ -242,7 +232,7 @@ def asymptotic_state_finite(order: int, params: FieldParams, L1: float,
             kern = geometry_kernel(2.0 * k, geom).conjugate()
             zc = dk * (w / abs(k)) * h_gamma(k, -k, params).conjugate() * kern
             pairs[(i, table.mirror_index(i))] = zc
-    return _expand_exponential(pairs, order, basis_cap)
+    return _expand_exponential(pairs, order)
 
 
 def project_view(state: StateVector, side: str) -> StateVector:
@@ -278,27 +268,28 @@ def asymptotic_state_infinite(t_values, params: FieldParams,
     for t in t_values:
         zs = [1j * t * TWO_PI * dk * h for h in hbar]
         log_mod = sum(z.real for z in zs)
-        drift = max((abs(abs(cmath.exp(z)) - 1.0) for z in zs), default=0.0)
+        # |e^z| is taken only at gamma = 0, where Re z = 0 cannot overflow
+        cyclic = params.gamma == 0.0 and max(
+            (abs(abs(cmath.exp(z)) - 1.0) for z in zs), default=0.0) < 1e-12
         measured = log_mod / t if t > 0 else 0.0
         out.append({
             "t": float(t),
             "log_modulus": log_mod,
             "modulus_growth_rate": measured,
             "predicted_growth_rate": rate_predicted,
-            "is_cyclostationary": params.gamma == 0.0 and drift < 1e-12,
+            "is_cyclostationary": cyclic,
             "divergent": params.gamma > 0.0,
         })
     return out
 
 
-def schmidt_rank(state: StateVector, partition: set,
-                 threshold: float = 1e-10) -> int:
+def schmidt_rank(state: StateVector, partition: set) -> int:
     """Schmidt rank of the state across a momentum-index bipartition.
 
     Each ket multiset splits into the pair labels whose first momentum
     index lies in the partition and the rest; the amplitude matrix over
     (left, right) labels is SVD'd in each idempotent sector and the larger
-    count of singular values above threshold is returned.
+    count of singular values above 1e-10 is returned.
     """
     split: dict = {}
     for key, amp in state.amplitudes.items():
@@ -318,5 +309,5 @@ def schmidt_rank(state: StateVector, partition: set,
             mat[li[l], ri[r]] = amp.plus() if sector == "plus" else amp.minus()
         if mat.size:
             sv = np.linalg.svd(mat, compute_uv=False)
-            rank = max(rank, int((sv > threshold).sum()))
+            rank = max(rank, int((sv > 1e-10).sum()))
     return rank

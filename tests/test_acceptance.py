@@ -1,75 +1,31 @@
 """Acceptance gate: every criterion runs at its stated tolerance.
 
-Each test delegates to the corresponding function in
-hyperfield.verification (the same code path the `hyperfield verify`
-command uses) and prints its report line.  The guard tests check that
-every report is derived from its check records, and that seeded defects
-fail through them.
+One run of hyperfield.verification.run_all (the same code path the
+`hyperfield verify` command uses) feeds a test per criterion, which prints
+its report line.  The guard tests check that every report is derived from
+its check records, and that seeded defects fail through them.
 """
+
+import math
 
 import pytest
 
+from hyperfield import commutators as fc
 from hyperfield import verification as vf
 from hyperfield.operators import CommutationTable
 from hyperfield.ring import Bicomplex
 
 
-def _check(report: dict):
-    print(vf.report_line(report))
-    assert report["passed"], report["detail"]
-
-
-def test_criterion_01_ring_suite():
-    _check(vf.criterion_1_ring_suite())
-
-
-def test_criterion_02_dispersion_eom():
-    _check(vf.criterion_2_dispersion_eom())
-
-
-def test_criterion_03_commutator_invariance():
-    _check(vf.criterion_3_commutator_invariance())
-
-
-def test_criterion_04_bessel_oracle():
-    _check(vf.criterion_4_bessel_oracle())
-
-
-def test_criterion_05_limits():
-    _check(vf.criterion_5_limits())
-
-
-def test_criterion_06_factor_five():
-    _check(vf.criterion_6_factor_five())
-
-
-def test_criterion_07_vev_cancellation():
-    _check(vf.criterion_7_vev_cancellation())
-
-
-def test_criterion_08_alignment():
-    _check(vf.criterion_8_alignment())
-
-
-def test_criterion_09_entanglement():
-    _check(vf.criterion_9_entanglement())
-
-
-def test_criterion_10_cyclostationarity():
-    _check(vf.criterion_10_cyclostationarity())
-
-
-def test_criterion_11_projections():
-    _check(vf.criterion_11_projections())
-
-
-def test_criterion_12_figures():
-    _check(vf.criterion_12_figures())
-
-
 @pytest.fixture(scope="module")
 def reports():
     return vf.run_all()
+
+
+@pytest.mark.parametrize("index", range(len(vf.CRITERIA)),
+                         ids=[fn.__name__ for fn in vf.CRITERIA])
+def test_criterion_passes(reports, index):
+    print(vf.report_line(reports[index]))
+    assert reports[index]["passed"], reports[index]["detail"]
 
 
 def test_all_criteria_via_runner(reports):
@@ -113,6 +69,36 @@ def test_sigma_table_fails_criterion_3_through_its_checks():
     table = CommutationTable(rho=(Bicomplex.one(),) + (Bicomplex.zero(),) * 3,
                              sigma=(Bicomplex(0.3, 0, 0, 0),) * 4,
                              delta_k=0.1, N=16, stagger=True)
+    report = vf.criterion_3_commutator_invariance(table)
+    _assert_derived(report)
+    assert not report["passed"]
+    assert "FAILED " in report["detail"]
+
+
+def test_default_table_passes_criterion_3():
+    # rho1 = rho4 = 1: B_diff = 0, so both commutators vanish identically
+    report = vf.criterion_3_commutator_invariance(
+        CommutationTable(delta_k=0.25, N=5))
+    _assert_derived(report)
+    assert report["passed"], report["detail"]
+
+
+@pytest.mark.parametrize("table", [None, CommutationTable(delta_k=0.25, N=5)],
+                         ids=["generic", "default"])
+def test_damping_defect_fails_criterion_3(monkeypatch, table):
+    # a1's damping rate off by 1e-9 relative.  A defect shared by every
+    # ladder scales all terms alike, which the default table's vanishing
+    # B_diff hides; one ladder's defect breaks the rho1/rho4 cancellation.
+    ladder = fc._ladder_poly
+
+    def seeded(x, t, params, lattice, weighted, entries):
+        drift = math.exp(-1e-9 * params.gamma * t / 2.0)
+
+        def skewed(*args):
+            return [(s, dagger, sector, c * drift if s == "a1" else c)
+                    for s, dagger, sector, c in entries(*args)]
+        return ladder(x, t, params, lattice, weighted, skewed)
+    monkeypatch.setattr(fc, "_ladder_poly", seeded)
     report = vf.criterion_3_commutator_invariance(table)
     _assert_derived(report)
     assert not report["passed"]

@@ -105,6 +105,12 @@ class TestEvolve:
         assert r.returncode == 0
         assert "diverges" in r.stderr
 
+    def test_large_time_warns_and_exits_0(self, tmp_path):
+        r = run_cli(["evolve", "--t", "10000", "--order", "1"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "diverges" in r.stderr
+        assert (tmp_path / "evolved_state.json").exists()
+
     def test_truncation_cap_surfaced(self, tmp_path):
         r = run_cli(["evolve", "--t", "1", "--order", "5", "--geometry",
                      "finite", "--L1", "-1", "--L2", "1"], tmp_path)
@@ -183,16 +189,23 @@ class TestConfig:
          "--steps", "2"],
         ["evolve", "--t", "0.1", "--order", "1", "--L1", "0", "--L2", "3"],
         ["asymptotic", "--geometry", "infinite", "--L2", "3"],
+        ["evolve", "--t", "1e103", "--order", "3"],
+        ["asymptotic", "--geometry", "infinite", "--t-values", "1e308"],
+        ["ring-check", "--checks", "0"],
+        ["ring-check", "--checks", "-5"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
-            "evolve_L1_without_finite", "asymptotic_L2_without_finite"])
+            "evolve_L1_without_finite", "asymptotic_L2_without_finite",
+            "evolve_t_overflows", "t_values_overflow", "checks_zero",
+            "checks_negative"])
     def test_malformed_flag_is_usage_error(self, tmp_path, args):
         r = run_cli(args, tmp_path)
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert not any(tmp_path.iterdir())  # no file written
 
     @pytest.mark.parametrize("verb", [["evolve", "--t", "0.1"], ["asymptotic"]],
                              ids=["evolve", "asymptotic"])

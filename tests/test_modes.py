@@ -57,10 +57,6 @@ class TestDispersion:
             omega(0.1, p)
         assert omega(1.0, p) == math.sqrt(1.0 - 0.75)
 
-    def test_vector_momentum(self):
-        p = FieldParams(m=1.0, gamma=0.0)
-        assert abs(omega((3.0, 4.0), p) - math.sqrt(26.0)) < 1e-14
-
 
 class TestEomResidual:
     def test_on_shell_random(self):

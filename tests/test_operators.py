@@ -6,9 +6,11 @@ import pytest
 from hyperfield.errors import UndeterminedByAxioms
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   VacuumRules, anticommutator, commutator,
-                                  generic_table, normal_order, pair_poly,
-                                  pair_commutation_check, polys_equal, vev)
+                                  generic_table, normal_order, pair_poly, vev)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
+
+from algebra_reference import (commutator_with, pair_commutation_check,
+                               polys_equal)
 
 
 @pytest.fixture
@@ -136,9 +138,9 @@ class TestJacobi:
                                                   rng.random() < 0.5),))
                    for _ in range(3)]
             x, y, z = ops
-            jac = (x.commutator_with(y.commutator_with(z))
-                   + z.commutator_with(x.commutator_with(y))
-                   + y.commutator_with(z.commutator_with(x)))
+            jac = (commutator_with(x, commutator_with(y, z))
+                   + commutator_with(z, commutator_with(x, y))
+                   + commutator_with(y, commutator_with(z, x)))
             assert normal_order(jac, table).is_zero(1e-12)
 
 

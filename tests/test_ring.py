@@ -6,8 +6,7 @@ import pytest
 
 from hyperfield.errors import NotInvertible
 from hyperfield.ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS,
-                             J_UNIT, exp_bicomplex, exp_hyperbolic_split,
-                             exp_ring, idempotent_decompose,
+                             J_UNIT, exp_bicomplex, exp_ring,
                              idempotents_exact)
 
 
@@ -109,24 +108,26 @@ class TestRingAxiomsExact:
 
 class TestIdempotentDecomposition:
     def test_examples(self):
-        assert idempotent_decompose(J_UNIT) == (1 + 0j, -1 + 0j)
-        assert idempotent_decompose(Bicomplex.one()) == (1 + 0j, 1 + 0j)
-        assert idempotent_decompose(Bicomplex(1, 1, 1, 1)) == (2 + 2j, 0j)
+        assert (J_UNIT.plus(), J_UNIT.minus()) == (1 + 0j, -1 + 0j)
+        one = Bicomplex.one()
+        assert (one.plus(), one.minus()) == (1 + 0j, 1 + 0j)
+        a = Bicomplex(1, 1, 1, 1)
+        assert (a.plus(), a.minus()) == (2 + 2j, 0j)
 
     def test_recomposition(self):
         rng = random.Random(13)
         for _ in range(100):
             a = rand_elem(rng)
-            p, m = idempotent_decompose(a)
+            p, m = a.plus(), a.minus()
             assert Bicomplex.from_sectors(p, m).is_close(a, 1e-14)
 
     def test_sector_isomorphism(self):
         rng = random.Random(17)
         for _ in range(100):
             a, b = rand_elem(rng), rand_elem(rng)
-            pa, ma = idempotent_decompose(a)
-            pb, mb = idempotent_decompose(b)
-            pp, pm = idempotent_decompose(a * b)
+            pa, ma = a.plus(), a.minus()
+            pb, mb = b.plus(), b.minus()
+            pp, pm = (a * b).plus(), (a * b).minus()
             assert abs(pp - pa * pb) < 1e-12
             assert abs(pm - ma * mb) < 1e-12
 
@@ -140,10 +141,9 @@ class TestExponentials:
         chi = 0.8
         expected = Bicomplex(math.cosh(chi), 0, math.sinh(chi), 0)
         assert exp_bicomplex(0.0, chi).is_close(expected, 1e-14)
-        assert exp_hyperbolic_split(chi).is_close(expected, 1e-14)
 
     def test_split_at_log2(self):
-        got = exp_hyperbolic_split(math.log(2.0))
+        got = exp_bicomplex(0.0, math.log(2.0))
         assert got.is_close(Bicomplex(1.25, 0.0, 0.75, 0.0), 1e-14)
 
     def test_split_matches_series(self):
@@ -155,7 +155,7 @@ class TestExponentials:
             for n in range(1, 60):
                 term = term * jchi * (1.0 / n)
                 total = total + term
-            assert exp_hyperbolic_split(chi).is_close(total, 1e-12 * total.norm())
+            assert exp_bicomplex(0.0, chi).is_close(total, 1e-12 * total.norm())
 
     def test_phase_inverse(self):
         rng = random.Random(19)

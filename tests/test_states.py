@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperfield import states
 from hyperfield.errors import PoleAtZeroMomentum, TruncationOrderTooLarge
 from hyperfield.modes import FieldParams, omega
 from hyperfield.observables import GeometrySpec, h_gamma, hamiltonian_terms
@@ -60,9 +61,10 @@ class TestEvolveVacuum:
         flags = {key[0][3] for key in s.excited_support()}
         assert flags == {0, 1}
 
-    def test_basis_cap(self, params, table):
+    def test_basis_cap(self, params, table, monkeypatch):
+        monkeypatch.setattr(states, "BASIS_CAP", 100)
         with pytest.raises(TruncationOrderTooLarge):
-            evolve_vacuum(0.7, 3, params, GEOM, table, RULES, basis_cap=100)
+            evolve_vacuum(0.7, 3, params, GEOM, table, RULES)
 
     def test_riemann_refinement(self, params):
         def total_first_order(dk, n):
@@ -258,6 +260,14 @@ class TestAsymptoticInfinite:
         d = asymptotic_state_infinite([0.0], p, table)[0]
         assert d["log_modulus"] == 0.0
         assert d["modulus_growth_rate"] == 0.0
+
+    def test_large_time_growth_stays_finite(self, table):
+        # gamma > 0: |e^z| overflows a float at t = 1e4, the log modulus not
+        p = FieldParams(m=1.0, gamma=0.7)
+        d = asymptotic_state_infinite([1e4], p, table)[0]
+        assert abs(d["modulus_growth_rate"] - d["predicted_growth_rate"]) \
+            <= 0.01 * d["predicted_growth_rate"]
+        assert not d["is_cyclostationary"] and d["divergent"]
 
 
 class TestStateVector:
