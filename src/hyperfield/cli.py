@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     rc = sub.add_parser("ring-check", help="run the ring property suite")
-    rc.add_argument("--checks", type=int, default=10_000)
+    rc.add_argument("--checks", type=int, default=10_000,
+                    help="number of checks, rounded up to a multiple of 8 "
+                         "(eight properties per random triple)")
     rc.add_argument("--seed", type=int, default=7)
     rc.add_argument("--selftest-defect", action="store_true",
                     help=argparse.SUPPRESS)

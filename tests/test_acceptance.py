@@ -113,6 +113,9 @@ def test_raising_criterion_fails_without_checks(monkeypatch):
     assert report["id"] == 6 and report["passed"] is False
     assert report["checks"] == []
     assert report["detail"] == "raised ArithmeticError: seeded defect"
+    assert report["traceback"].splitlines()[-1] == (
+        "ArithmeticError: seeded defect")
+    assert "criterion_6_seeded" in report["traceback"]
 
 
 def test_table_goes_only_to_criteria_that_take_one(monkeypatch):

@@ -35,6 +35,10 @@ class TestRingCheck:
         assert r.returncode == 1
         assert "failing properties" in r.stdout
 
+    def test_checks_round_up_to_whole_blocks(self, capsys):
+        assert main(["ring-check", "--checks", "9"]) == 0
+        assert capsys.readouterr().out.startswith("ring-check: 16 checks in ")
+
 
 class TestCommutatorSweep:
     def test_csv_format(self, tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from hyperfield import cli
+from hyperfield import verification as vf
 from hyperfield.errors import NotInvertible
 from hyperfield.ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS,
                              J_UNIT, exp_bicomplex, exp_ring,
@@ -104,6 +106,71 @@ class TestRingAxiomsExact:
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
+
+
+def _product_operands(name):
+    """Operands of one product in the suite's first block (default seed)."""
+    rng = random.Random(7)
+    a, b, c = (vf._random_rational_element(rng) for _ in range(3))
+    jp, jm = idempotents_exact()
+    return {"ab": (a, b), "(ab)c": (a * b, c), "bc": (b, c),
+            "a(bc)": (a, b * c), "ba": (b, a), "a(b+c)": (a, b + c),
+            "ac": (a, c), "conj(a)conj(b)": (a.conj(), b.conj()),
+            "a conj(a)": (a, a.conj()), "jp jp": (jp, jp),
+            "jm jm": (jm, jm), "jp jm": (jp, jm)}[name]
+
+
+class TestPropertySuite:
+    def test_defaults_pass(self):
+        rep = vf.ring_property_suite()
+        assert rep["checks"] == 10_000
+        assert rep["failures"] == []
+
+    def test_cli_defect_product(self, monkeypatch):
+        seen = []
+        suite = vf.ring_property_suite
+
+        def recording(**kwargs):
+            seen.append(suite(**kwargs))
+            return seen[-1]
+        monkeypatch.setattr(vf, "ring_property_suite", recording)
+        assert cli.main(["ring-check", "--checks", "500",
+                         "--selftest-defect"]) == 1
+        [rep] = seen
+        assert rep["checks"] == 504
+        assert rep["failures"] == ["mul_associative", "idempotent_algebra",
+                                   "sector_isomorphism"]
+
+    # Each distinct product of one block, and the properties whose
+    # comparisons read it, in tally order.  A defect that changes that
+    # product alone must fail exactly those properties, so no comparison
+    # can go missing when products are shared.  conj_involutive uses no
+    # product, so no defect here can reach it.
+    @pytest.mark.parametrize("product, properties", [
+        ("ab", ["mul_associative", "mul_commutative", "distributive",
+                "conj_multiplicative", "sector_isomorphism"]),
+        ("(ab)c", ["mul_associative"]),
+        ("bc", ["mul_associative"]),
+        ("a(bc)", ["mul_associative"]),
+        ("ba", ["mul_commutative"]),
+        ("a(b+c)", ["distributive"]),
+        ("ac", ["distributive"]),
+        ("conj(a)conj(b)", ["conj_multiplicative"]),
+        ("a conj(a)", ["modulus_in_real_ij_subring"]),
+        ("jp jp", ["idempotent_algebra"]),
+        ("jm jm", ["idempotent_algebra"]),
+        ("jp jm", ["idempotent_algebra"]),
+    ])
+    def test_defect_in_one_product_fails_its_properties(self, product,
+                                                        properties):
+        target = _product_operands(product)
+        bump = Bicomplex(0, 1, 1, 0)
+
+        def mul_fn(x, y):
+            return x * y + bump if (x, y) == target else x * y
+        rep = vf.ring_property_suite(8, mul_fn=mul_fn)
+        assert rep["checks"] == 8
+        assert rep["failures"] == properties
 
 
 class TestIdempotentDecomposition:
