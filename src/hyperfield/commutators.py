@@ -10,7 +10,7 @@ B_sum = J+ (rho1 + conj rho4) + J- (conj rho1 + rho4):
                     =  2 i B_sum (M/|dx|) K1(M |dx|)        (M^2 > 0, 1d)
 
 All three follow mechanically from the commutation table; the lattice
-route and the regularized-quadrature route are kept as independent
+route and the quadrature route are kept as independent
 cross-checks of the closed forms.  The lattice route builds Omega and Pi
 as OperatorPolys and contracts them term by term: both are linear in the
 ladder operators and every ladder commutator is a central ring scalar,
@@ -22,15 +22,18 @@ Weighted variants use the 1/sqrt(omega_k) measure and swap the kernels
 around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
 [Omega,Pi]).
 
-The unweighted and weighted quadrature oracles share one regulated
-Simpson/Richardson rule and differ only in their integrands.  A per-mode
-weight turns the lattice delta profile into delta'' - M^2 delta for
-[Pi, Pi+].  Every kernel is derived for one spatial dimension.
+The unweighted and weighted quadrature oracles share one numpy rule with
+two legs, which must agree on M |dx| in [1, 5] where both are trusted: a
+double-exponential Fourier leg below and a trapezoid leg on the branch cut
+above (QuadratureSpec).  A per-mode weight turns the lattice delta
+profile into delta'' - M^2 delta for [Pi, Pi+].  Every kernel is derived
+for one spatial dimension.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,8 +46,6 @@ from .modes import FieldParams, omega
 from .operators import (CommutationTable, ModeOp, OperatorPoly, commutator,
                         generic_table)
 from .ring import Bicomplex, J_MINUS, J_PLUS
-
-TWO_PI = 2.0 * math.pi
 
 
 def bessel_k(order: int, z: float) -> float:
@@ -252,93 +253,138 @@ def lattice_delta_profile(dx: float, table: CommutationTable,
 
 
 # ---------------------------------------------------------------------------
-# regularized quadrature oracle
+# quadrature oracle
 # ---------------------------------------------------------------------------
+
+Z_TRUSTED = (0.01, 30.0)    # sqrt(|M^2|) |dx| where the oracles answer
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The quadrature oracles' rule, which has no settings.
 
-    The oracles keep their spec argument.  The rule is fixed: a Gaussian
-    regulator e^{-eps k^2} with eps picked from dx, halved four times and
-    extrapolated to 0; the last two extrapolants must agree (Cauchy test)
-    or NonConvergent is raised.
+    With z = sqrt(|M^2|) |dx| the rule answers on Z_TRUSTED and raises
+    DomainError outside it.  The Fourier leg (trusted for z <= 5, and the
+    only leg for M^2 < 0, the cutoff integral whose closed form is Y1)
+    takes the growth off in closed form and integrates the rest by the
+    double-exponential rule of Ooura and Mori (1999).  The decaying leg
+    (z >= 1, M^2 > 0) moves the contour onto the branch cut at k = i M
+    (DLMF 10.32.8-9) and applies the trapezoid rule, which converges
+    exponentially there (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    Each leg halves its step until two estimates agree to 1e-10 relative;
+    on 1 <= z <= 5 the legs must agree to 1e-9.  A failure raises
+    NonConvergent.
     """
 
 
-def _regularized_integral(adx: float, kshift: float, integrand) -> float:
-    """2 Int_0^inf integrand(s) ds, regulated by e^{-eps s^2}, eps -> 0.
+def _converged(estimates, what: str) -> complex:
+    """First of a leg's step-halving estimates within 1e-10 of the last."""
+    seen = []
+    for est in estimates:
+        if seen and abs(est - seen[-1]) <= 1e-10 * abs(est):
+            return est
+        seen.append(est)
+    raise NonConvergent(f"{what} failed its step-halving test: {seen}")
 
-    Simpson's rule on [0, sqrt(40 / eps) + kshift] for a halving sequence
-    of five eps, then Richardson extrapolation of the sequence.
+
+@functools.cache
+def _de_rule(level: int, sine: bool) -> tuple[np.ndarray, np.ndarray]:
+    """y, w with Int_0^inf f(x) cos(d x) dx ~ w @ f(y / d) / d (sin if sine).
+
+    x = level phi(t) / d, phi = t / (1 - e^{-u}), u = 2t + alpha (1 - e^{-t})
+    + (e^t - 1) / 4, at t = (n - 1/2) pi / level (n pi / level for sin) in
+    [-8, 6]; the terms outside fall below double precision.
     """
-    # keep exp(-dx^2 / 4 eps) below ~1e-70 while keeping the O(eps) term,
-    # whose coefficient grows like 1/dx^4, small enough for extrapolation
-    eps0 = min(adx * adx / 660.0, 2e-3)
-    vals = []
-    for s in range(5):
-        eps = eps0 / 2.0 ** s
-        kmax = math.sqrt(40.0 / eps) + kshift
-        n = max(8001, int(72.0 * kmax * adx / TWO_PI) | 1)
-        grid = np.linspace(0.0, kmax, n)
-        f = integrand(grid) * np.exp(-eps * grid * grid)
-        vals.append(2.0 * _simpson(f, grid))
-    return _richardson(vals)
+    h = math.pi / level
+    alpha = 0.25 / math.sqrt(1.0 + level * math.log1p(level) / (4.0 * math.pi))
+    n = np.arange(math.floor(-8.0 / h), math.ceil(6.0 / h) + 1)
+    t = h * n if sine else h * (n - 0.5)
+    t = t[t != 0.0]
+    et = np.exp(t)
+    u = 2.0 * t + alpha * (1.0 - 1.0 / et) + 0.25 * (et - 1.0)
+    phi = t / -np.expm1(-u)
+    dphi = (1.0 - phi * (2.0 + alpha / et + 0.25 * et) * np.exp(-u)) * phi / t
+    if sine:  # t = 0: phi = 1/a, phi' = (a^2 - b) / 2a^2; a, b = u'(0), u''(0)
+        a, b = 2.25 + alpha, 0.25 - alpha
+        phi = np.append(phi, 1.0 / a)
+        dphi = np.append(dphi, (a * a - b) / (2.0 * a * a))
+    y = level * phi
+    w = math.pi * dphi * (np.sin(y) if sine else np.cos(y))
+    y.flags.writeable = w.flags.writeable = False   # shared by the cache
+    return y, w
 
 
-def _omega_transform(dx: float, params: FieldParams) -> float:
-    """Finite part of Integral_{-inf}^{inf} omega_k e^{i k dx} dk (1d, even).
+def _fourier(f, d: float, sine: bool = False):
+    """Int_0^inf f(x) cos(d x) dx (sin if sine) at DE levels 20, 40, 80."""
+    for level in (20, 40, 80):
+        y, w = _de_rule(level, sine)
+        yield float(w @ f(y / d)) / d
 
-    For M^2 >= 0 integrates 2 Int_0^inf sqrt(k^2 + M^2) cos(k dx); for
-    M^2 < 0 the IR cutoff k^2 >= -M^2 applies and the substitution
-    q = sqrt(k^2 + M^2) keeps the integrand smooth at the edge.
+
+def _fourier_leg(power: int, adx: float, m2: float) -> float:
+    """2 Int omega^power cos(k dx) dk over k >= kc = sqrt(max(-M^2, 0)).
+
+    With k = kc + x, omega = x + kc + M^2 / (omega + x + kc), and the
+    growth integrates to 2 Int_0^inf (x + kc) cos(k dx) dx
+    = -2 cos(kc dx) / dx^2 - 2 kc sin(kc dx) / dx; 1/omega decays as is.
     """
-    adx = abs(dx)
+    kc = math.sqrt(max(-m2, 0.0))
+
+    def rest(x):
+        omega_x = np.sqrt(x * (x + 2.0 * kc) + max(m2, 0.0))
+        return m2 / (omega_x + x + kc) if power == 1 else 1.0 / omega_x
+
+    sines = (False, True) if kc else (False,)   # sin only past a cutoff
+    parts = zip(*[_fourier(rest, adx, sine) for sine in sines])
+    g = _converged((complex(*cs) for cs in parts), "Fourier leg")
+    ph = cmath.exp(1j * kc * adx)
+    growth = ph.real / adx ** 2 + kc * ph.imag / adx if power == 1 else 0.0
+    return 2.0 * ((ph * g).real - growth)
+
+
+def _decaying_leg(power: int, z: float, m2: float) -> float:
+    """-2 (M/|dx|) K1(z) (power 1) or 2 K0(z) (power -1), z = M |dx|.
+
+    Trapezoid rule on M^2 Int_0^inf e^{-z cosh u} sinh^2 u du or on
+    Int_0^inf e^{-z cosh u} du, cut off where the integrand has fallen to
+    e^{-745} of its value at u = 0.
+    """
+    umax = math.acosh(1.0 + 745.0 / z)
+
+    def estimates():
+        for panels in (32, 64, 128, 256, 512):
+            u = np.linspace(0.0, umax, panels + 1)
+            f = np.exp(-z * np.cosh(u)) * np.sinh(u) ** (power + 1)
+            yield float(umax / panels * (f.sum() - 0.5 * (f[0] + f[-1])))
+
+    cut = _converged(estimates(), "decaying leg")
+    return -2.0 * m2 * cut if power == 1 else 2.0 * cut
+
+
+def _cos_transform(power: int, delta_x: float, m2: float) -> float:
+    """Finite part of Integral omega_k^power e^{i k dx} dk over k^2 >= -M^2."""
+    adx = abs(delta_x)
     if adx == 0.0:
         raise NonConvergent("omega transform has no finite part at dx = 0")
-    m2 = params.m2_mod
-
-    def integrand(s):
-        if m2 >= 0.0:
-            return np.sqrt(s * s + m2) * np.cos(s * adx)
-        # s = q = sqrt(k^2 + M^2): k = sqrt(q^2 - M^2) >= sqrt(-M^2)
-        kk = np.sqrt(s * s - m2)
-        return (s * s / kk) * np.cos(kk * adx)
-
-    return _regularized_integral(adx, math.sqrt(abs(m2)), integrand)
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    h = x[1] - x[0]
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
-                            + 2.0 * y[2:-2:2].sum()))
-
-
-def _richardson(vals: list[float]) -> float:
-    """Extrapolate a sequence F(eps), F(eps/2), ... to eps -> 0."""
-    table = [list(vals)]
-    for j in range(1, len(vals)):
-        prev = table[-1]
-        table.append([(2.0 ** j * prev[i + 1] - prev[i]) / (2.0 ** j - 1.0)
-                      for i in range(len(prev) - 1)])
-    last = table[-1][0]
-    prev = table[-2][0] if len(table) > 1 else last
-    scale = max(abs(last), abs(vals[0]), 1e-300)
-    if abs(last - prev) > 1e-4 * scale + 1e-12:
-        raise NonConvergent(
-            f"Richardson sequence failed its Cauchy test: {vals} -> {last}")
-    return last
+    z = math.sqrt(abs(m2)) * adx
+    if not Z_TRUSTED[0] <= z <= Z_TRUSTED[1]:
+        raise DomainError(f"the quadrature oracle needs sqrt(|M^2|) |dx| in "
+                          f"{list(Z_TRUSTED)}, got {z:.6g}")
+    legs = [_fourier_leg(power, adx, m2)] if z <= 5.0 or m2 < 0.0 else []
+    if z >= 1.0 and m2 > 0.0:
+        legs.append(_decaying_leg(power, z, m2))
+    if abs(legs[0] - legs[-1]) > 1e-9 * abs(legs[-1]):
+        raise NonConvergent(f"the Fourier and decaying legs disagree at "
+                            f"M |dx| = {z:.6g}: {legs}")
+    return legs[-1]
 
 
 def commutator_omega_pi_quadrature(delta_x: float, params: FieldParams,
                                    spec: QuadratureSpec,
                                    table: CommutationTable) -> Bicomplex:
-    """[Omega, Pi] by regularized quadrature; the oracle for the closed form.
-
-    Evaluates -i B_sum * Integral omega_k e^{i k dx} dk with the Gaussian
-    regulator and extrapolation; raises NonConvergent at dx = 0.
-    """
-    f = _omega_transform(delta_x, params)
+    """[Omega, Pi] = -i B_sum Integral omega_k e^{i k dx} dk by quadrature,
+    the oracle for the closed form; raises NonConvergent at dx = 0."""
+    f = _cos_transform(1, delta_x, params.m2_mod)
     return Bicomplex.from_complex(-1j * f) * sum_bracket(table)
 
 
@@ -394,42 +440,32 @@ def weighted_commutators(which: str, delta_x: float, params: FieldParams,
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError(f"weighted kernels require M^2 > 0, got {m2}")
+    order = {"omega_omega": 0, "pi_pi": 1}.get(which)
+    if order is None:
+        raise ValueError(f"unknown weighted commutator {which!r}")
     mmod = math.sqrt(m2)
     bdiff = difference_bracket(table)
-    if which == "omega_omega":
-        def value_at(dx: float, _b=bdiff, _m=mmod) -> Bicomplex:
-            if dx == 0.0:
-                raise DomainError("K0 kernel diverges at dx = 0")
-            return _b * Bicomplex.from_complex(2.0 * bessel_k(0, _m * abs(dx)))
-        return CommutatorResult("w_omega_omega", bdiff, KERNEL_K0,
-                                value_at=value_at)
-    if which == "pi_pi":
-        def value_at(dx: float, _b=bdiff, _m=mmod) -> Bicomplex:
-            if dx == 0.0:
-                raise DomainError("K1 kernel diverges at dx = 0")
-            prof = 2.0 * (_m / abs(dx)) * bessel_k(1, _m * abs(dx))
-            return _b * Bicomplex.from_complex(prof)
-        return CommutatorResult("w_pi_pi", bdiff, KERNEL_K1_OVER_DX,
-                                value_at=value_at)
-    raise ValueError(f"unknown weighted commutator {which!r}")
+
+    def value_at(dx: float) -> Bicomplex:
+        if dx == 0.0:
+            raise DomainError(f"K{order} kernel diverges at dx = 0")
+        prof = 2.0 * bessel_k(order, mmod * abs(dx)) * (mmod / abs(dx)) ** order
+        return bdiff * Bicomplex.from_complex(prof)
+    return CommutatorResult("w_" + which, bdiff,
+                            (KERNEL_K0, KERNEL_K1_OVER_DX)[order],
+                            value_at=value_at)
 
 
 def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
                         spec: QuadratureSpec,
                         table: CommutationTable) -> Bicomplex:
-    """Oracle for the weighted kernels by direct regularized integration."""
-    adx = abs(delta_x)
-    if adx == 0.0:
-        raise NonConvergent("no finite part at dx = 0")
+    """Oracle for the weighted kernels by the rule in QuadratureSpec."""
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError("weighted oracle requires M^2 > 0")
     power = {"omega_omega": -1, "pi_pi": 1}[which]
-    integral = _regularized_integral(
-        adx, 0.0, lambda k: np.sqrt(k * k + m2) ** power * np.cos(k * adx))
-    if which == "omega_omega":
-        return difference_bracket(table) * Bicomplex.from_complex(integral)
-    return difference_bracket(table) * Bicomplex.from_complex(-integral)
+    integral = _cos_transform(power, delta_x, m2)
+    return difference_bracket(table) * Bicomplex.from_complex(-power * integral)
 
 
 # ---------------------------------------------------------------------------

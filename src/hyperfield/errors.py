@@ -18,7 +18,7 @@ class DomainError(HyperfieldError, ValueError):
 
 
 class NonConvergent(HyperfieldError, ArithmeticError):
-    """Regularized quadrature failed its internal convergence test."""
+    """Quadrature oracle failed its step-halving test or its legs disagreed."""
 
 
 class UndeterminedByAxioms(HyperfieldError, ValueError):

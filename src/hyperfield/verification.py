@@ -52,11 +52,18 @@ def _report(cid: int, name: str, tolerance: str, checks) -> dict:
 
 
 def report_line(report: dict) -> str:
-    """The one line `hyperfield verify` and the pytest gate print per report."""
+    """The one line `hyperfield verify` and the pytest gate print per report.
+
+    It ends with the worst measured / bound over the `<=` and `<` checks
+    with a positive bound, when the report has any.
+    """
     took = f"; {report['seconds']:.2f} s" if "seconds" in report else ""
+    margins = [c["measured"] / c["bound"] for c in report.get("checks", ())
+               if c["relation"] in ("<=", "<") and c["bound"] > 0]
+    worst = f"; worst measured/bound {max(margins):.3g}" if margins else ""
     return (f"[{'PASS' if report['passed'] else 'FAIL'}] criterion "
             f"{report['id']:>2} {report['name']} (tolerance: "
-            f"{report['tolerance']}{took}) -- {report['detail']}")
+            f"{report['tolerance']}{took}) -- {report['detail']}{worst}")
 
 
 def _rises(values) -> int:

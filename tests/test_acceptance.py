@@ -131,3 +131,17 @@ def test_table_goes_only_to_criteria_that_take_one(monkeypatch):
     monkeypatch.setattr(vf, "CRITERIA", [criterion_1_plain, criterion_2_table])
     assert all(r["passed"] for r in vf.run_all(table="T"))
     assert seen == [None, "T"]
+
+
+def test_report_line_ends_with_worst_margin():
+    # <= and < checks with a positive bound count; >=, == and bound 0 do not
+    rep = vf._report(4, "demo", "tol", [("a", 2e-7, 1e-6, "<="),
+                                        ("b", 3.0, 4.0, "<"),
+                                        ("c", 50.0, 1.0, ">="),
+                                        ("d", 7.0, 0.0, "<=")])
+    assert vf.report_line(rep).endswith(
+        "-- a 2e-07 <= 1e-06; b 3 < 4; c 50 >= 1; FAILED d 7 <= 0; "
+        "worst measured/bound 0.75")
+    bare = vf._report(9, "demo", "tol", [("rank", 2, 2, ">="),
+                                         ("zero", 0.0, 0.0, "<=")])
+    assert vf.report_line(bare).endswith("-- rank 2 >= 2; zero 0 <= 0")

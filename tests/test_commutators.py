@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -287,6 +288,79 @@ class TestQuadratureOracle:
             commutator_omega_pi_closed(0.0, FieldParams(m=1.0), t)
         with pytest.raises(DomainError):
             commutator_omega_pi_closed(1.0, FieldParams(m=1.0, gamma=2.5), t)
+
+
+WIDE_Z = np.geomspace(0.01, 30.0, 31)           # M dx, log-spaced
+WIDE_PARAMS = ((1.0, 0.0), (1.7, 1.2))          # (m, gamma), M^2 > 0
+ORACLE_KINDS = ("omega_pi", "omega_omega", "pi_pi")
+
+
+def oracle_errors(kind, zs):
+    """|closed - oracle| / |closed| at each M dx in zs, for each (m, gamma)."""
+    t, spec = generic_table(), QuadratureSpec()
+    errors = []
+    for m, gamma in WIDE_PARAMS:
+        p = FieldParams(m=m, gamma=gamma)
+        for z in zs:
+            dx = z / math.sqrt(p.m2_mod)
+            if kind == "omega_pi":
+                closed = commutator_omega_pi_closed(dx, p, t)
+                quad = commutator_omega_pi_quadrature(dx, p, spec, t)
+            else:
+                closed = weighted_commutators(kind, dx, p, t).value_at(dx)
+                quad = weighted_quadrature(kind, dx, p, spec, t)
+            errors.append((closed - quad).norm() / closed.norm())
+    return errors
+
+
+class TestWideRangeOracle:
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_closed_forms_over_wide_range(self, kind):
+        assert max(oracle_errors(kind, WIDE_Z)) <= 1e-9
+
+    @pytest.mark.parametrize("power", [1, -1])
+    def test_legs_agree_on_overlap(self, power):
+        import hyperfield.commutators as fc
+        for m, gamma in WIDE_PARAMS:
+            m2 = FieldParams(m=m, gamma=gamma).m2_mod
+            for z in np.linspace(1.0, 5.0, 17):
+                fourier = fc._fourier_leg(power, z / math.sqrt(m2), m2)
+                decaying = fc._decaying_leg(power, z, m2)
+                assert abs(fourier - decaying) <= 1e-9 * abs(decaying)
+
+    @pytest.mark.parametrize("kind, bessel", [("omega_pi", "_scipy_k1"),
+                                              ("pi_pi", "_scipy_k1"),
+                                              ("omega_omega", "_scipy_k0")])
+    def test_perturbed_closed_form_fails_at_both_ends(self, monkeypatch,
+                                                      kind, bessel):
+        import hyperfield.commutators as fc
+        exact, rng = getattr(fc, bessel), random.Random(11)
+        monkeypatch.setattr(fc, bessel, lambda z: exact(z) * (
+            1.0 + rng.choice((-1e-6, 1e-6))))
+        assert min(oracle_errors(kind, (0.01, 30.0))) > 1e-9
+
+    @pytest.mark.parametrize("z", [0.005, 31.0])
+    def test_outside_trusted_range_raises(self, z):
+        t, spec = generic_table(), QuadratureSpec()
+        for m, gamma in ((1.0, 0.0), (0.0, 2.0)):   # M^2 = 1 and M^2 = -1
+            with pytest.raises(DomainError):
+                commutator_omega_pi_quadrature(z, FieldParams(m=m, gamma=gamma),
+                                               spec, t)
+        for which in ("omega_omega", "pi_pi"):
+            with pytest.raises(DomainError):
+                weighted_quadrature(which, z, FieldParams(m=1.0), spec, t)
+
+    def test_ir_cutoff_branch_over_trusted_range(self):
+        # M^2 = -gamma^2/4 < 0 at m = 0: the Fourier leg alone, against the
+        # Y1 closed form over its trusted range gamma |dx| / 2 in [0.01, 30]
+        t, spec = generic_table(), QuadratureSpec()
+        for gamma in (2.0, 0.7):
+            for z in WIDE_Z:
+                dx = z / (gamma / 2.0)
+                quad = commutator_omega_pi_quadrature(
+                    dx, FieldParams(m=0.0, gamma=gamma), spec, t)
+                closed = commutator_omega_pi_m0_limit(dx, gamma, t)
+                assert (closed - quad).norm() <= 1e-9 * closed.norm()
 
 
 class TestM0Limit:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfield.errors import UndeterminedByAxioms
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
@@ -126,6 +127,35 @@ class TestAdjoint:
         poly = pair_poly(("a1", "b1"), 1, 2, J_PLUS) + pair_poly(
             ("b2", "a2"), 0, 0, J_MINUS, dagger=True)
         assert polys_equal(poly.adjoint().adjoint(), poly, table, 1e-14)
+
+
+FINITE = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+COEFFS = st.builds(Bicomplex, FINITE, FINITE, FINITE, FINITE).filter(
+    lambda c: not c.is_zero())
+LADDERS = st.builds(ModeOp, st.sampled_from(("a1", "b1", "a2", "b2")),
+                    st.integers(-4, 4), st.booleans())
+LINEAR_POLYS = st.dictionaries(LADDERS, COEFFS, max_size=8).map(
+    lambda terms: OperatorPoly({(op,): c for op, c in terms.items()}))
+PROPERTY = settings(derandomize=True, database=None, max_examples=100,
+                    deadline=None)
+
+
+class TestAdjointProperties:
+    """The adjoint on polys linear in the ladder operators."""
+
+    @PROPERTY
+    @given(LINEAR_POLYS)
+    def test_involution(self, poly):
+        assert poly.adjoint().adjoint().terms == poly.terms
+
+    @PROPERTY
+    @given(LINEAR_POLYS, LINEAR_POLYS, COEFFS)
+    def test_antilinear(self, p, q, c):
+        lhs = (p + q.scale(c)).adjoint()
+        rhs = p.adjoint() + q.adjoint().scale(c.conj())
+        assert set(lhs.terms) == set(rhs.terms)
+        for word, coeff in lhs.terms.items():
+            assert coeff.is_close(rhs.terms[word], 1e-12)
 
 
 class TestJacobi:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfield import cli
 from hyperfield import verification as vf
@@ -258,3 +259,25 @@ class TestInverse:
             J_PLUS.inverse()
         with pytest.raises(NotInvertible):
             Bicomplex(1, 1, 1, 1).inverse()
+
+
+FINITE = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+ELEMENTS = st.builds(Bicomplex, FINITE, FINITE, FINITE, FINITE)
+PROPERTY = settings(derandomize=True, database=None, max_examples=100,
+                    deadline=None)
+
+
+class TestFloatSectorIsomorphism:
+    """The float ring is C x C through a -> (a.plus(), a.minus())."""
+
+    @PROPERTY
+    @given(ELEMENTS, ELEMENTS)
+    def test_plus_sector_is_multiplicative(self, a, b):
+        want = a.plus() * b.plus()
+        assert abs((a * b).plus() - want) <= 1e-13 * (1.0 + a.norm() * b.norm())
+
+    @PROPERTY
+    @given(ELEMENTS, ELEMENTS)
+    def test_minus_sector_is_multiplicative(self, a, b):
+        want = a.minus() * b.minus()
+        assert abs((a * b).minus() - want) <= 1e-13 * (1.0 + a.norm() * b.norm())
