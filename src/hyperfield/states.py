@@ -289,7 +289,9 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
     Each ket multiset splits into the pair labels whose first momentum
     index lies in the partition and the rest; the amplitude matrix over
     (left, right) labels is SVD'd in each idempotent sector and the larger
-    count of singular values above 1e-10 is returned.
+    count of singular values above 1e-10 times the sector's largest is
+    returned.  The cutoff is relative so that round-off on large
+    amplitudes is not counted.
     """
     split: dict = {}
     for key, amp in state.amplitudes.items():
@@ -309,5 +311,5 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
             mat[li[l], ri[r]] = amp.plus() if sector == "plus" else amp.minus()
         if mat.size:
             sv = np.linalg.svd(mat, compute_uv=False)
-            rank = max(rank, int((sv > 1e-10).sum()))
+            rank = max(rank, int((sv > 1e-10 * sv[0]).sum()))
     return rank

@@ -235,6 +235,30 @@ class TestSchmidtRank:
         sv = np.linalg.svd(mat, compute_uv=False)
         assert schmidt_rank(s, part) == int((sv > 1e-10).sum())
 
+    def test_rank_ignores_amplitude_scale(self):
+        # the amplitudes grow with L2 - L1; an absolute cutoff counted the
+        # round-off singular values of the longer intervals (6, 7, 8)
+        t = CommutationTable(delta_k=0.1, N=8, stagger=True)
+        p = FieldParams(m=2.0, gamma=1.5)
+        part = {t.momentum_indices()[0]}
+        ranks = [schmidt_rank(asymptotic_state_finite(3, p, -ell, ell, t), part)
+                 for ell in (1.0, 4.0, 8.0, 20.0)]
+        assert ranks == [4, 4, 4, 4]
+
+    def test_rank_ignores_row_order(self):
+        # singular values 9.2e9 down to 1.0e6, then round-off from 5e-7 down;
+        # no row or column order may let the round-off count
+        t = CommutationTable(delta_k=0.1, N=8, stagger=True)
+        s = asymptotic_state_finite(3, FieldParams(m=2.0, gamma=1.5),
+                                    -20.0, 20.0, t)
+        part = {t.momentum_indices()[0]}
+        items = list(s.amplitudes.items())
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            order = rng.permutation(len(items))
+            shuffled = StateVector(dict(items[n] for n in order), 3)
+            assert schmidt_rank(shuffled, part) == 4
+
 
 class TestAsymptoticInfinite:
     def test_cyclostationary_at_gamma_zero(self, table):
