@@ -183,6 +183,25 @@ def _write_json(path: str, payload) -> None:
     _write(path, itertools.chain(encoder.iterencode(payload), "\n"))
 
 
+def _state_chunks(payload: dict):
+    """json.dump(payload, fh, indent=2, sort_keys=True) and "\n", in chunks.
+
+    One chunk per ket of a StateVector.to_jsonable payload, whose
+    amplitudes are already in sort_keys order.
+    """
+    amps = payload["amplitudes"]
+    yield '{\n  "amplitudes": {'
+    sep = "\n"
+    for label, (x, y, u, v) in amps.items():
+        if not x - x == y - y == u - u == v - v == 0.0:  # NaN or Infinity
+            x, y, u, v = map(json.dumps, (x, y, u, v))
+        yield (f"{sep}    {json.encoder.encode_basestring_ascii(label)}: [\n"
+               f"      {x},\n      {y},\n      {u},\n      {v}\n    ]")
+        sep = ",\n"
+    close = "\n  }" if amps else "}"
+    yield f'{close},\n  "truncation_order": {payload["truncation_order"]!r}\n}}\n'
+
+
 # -- verbs -------------------------------------------------------------------
 
 def cmd_ring_check(args) -> int:
@@ -263,7 +282,7 @@ def cmd_evolve(args, cfg: dict) -> int:
         raise ConfigError(f"--t {args.t:g} overflows the evolved state")
     _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"], "evolved_state.json")
-    _write_json(out, state.to_jsonable())
+    _write(out, _state_chunks(state.to_jsonable()))
     part = {table.momentum_indices()[0]}
     rank = schmidt_rank(state, part)
     print(f"t={args.t} order={order} kets={len(state.amplitudes)} "
@@ -288,7 +307,7 @@ def cmd_asymptotic(args, cfg: dict) -> int:
         state = asymptotic_state_finite(order, params, L1, L2, table)
         out = args.output or os.path.join(cfg["output_dir"],
                                           "asymptotic_state.json")
-        _write_json(out, state.to_jsonable())
+        _write(out, _state_chunks(state.to_jsonable()))
         part = {table.momentum_indices()[0]}
         print(f"finite [{L1}, {L2}] order={order} kets={len(state.amplitudes)} "
               f"schmidt_rank={schmidt_rank(state, part)}")

@@ -61,13 +61,24 @@ class StateVector:
         return StateVector({(): Bicomplex.one()}, 0)
 
     def inner(self, other: "StateVector") -> Bicomplex:
-        """Ring inner product sum_K conj(amp_K) other_amp_K."""
-        total = Bicomplex.zero()
+        """Ring inner product sum_K conj(amp_K) other_amp_K.
+
+        Each term is conj(a) * b written out with Bicomplex.__mul__'s
+        grouping and summed into four floats, so no per-ket ring object
+        is built and the result keeps the ring product's bits.
+        """
+        sx = sy = su = sv = 0.0
+        mates = other.amplitudes
         for key, amp in self.amplitudes.items():
-            mate = other.amplitudes.get(key)
+            mate = mates.get(key)
             if mate is not None:
-                total = total + amp.conj() * mate
-        return total
+                x, y, u, v = amp.x, amp.y, amp.u, amp.v
+                e, f, g, h = mate.x, mate.y, mate.u, mate.v
+                sx += (x * e - u * g) - (v * h - y * f)
+                sy += (x * f - u * h) + (v * g - y * e)
+                su += (x * g - u * e) - (v * f - y * h)
+                sv += (x * h - u * f) + (v * e - y * g)
+        return Bicomplex(sx, sy, su, sv)
 
     def __add__(self, other: "StateVector") -> "StateVector":
         out = dict(self.amplitudes)
@@ -86,14 +97,18 @@ class StateVector:
         return {k for k in self.amplitudes if k != ()}
 
     def to_jsonable(self) -> dict:
-        """Ket label -> four real amplitude components, keys sorted."""
-        def label_str(key) -> str:
-            if not key:
-                return "vacuum"
-            return ";".join(f"{t}:{k},{kp},{f}" for (t, k, kp, f) in key)
+        """Ket label -> four real amplitude components.
 
-        amps = {label_str(k): [float(c) for c in v.to_tuple()]
-                for k, v in sorted(self.amplitudes.items())}
+        Keys are sorted once, by the label string ("vacuum" for the empty
+        label, else "tag:k,kp,flag" pair labels joined by ";"): the order
+        json's sort_keys gives, so a dump need not sort again.
+        """
+        names = {p: f"{p[0]}:{p[1]},{p[2]},{p[3]}"
+                 for p in {p for key in self.amplitudes for p in key}}
+        rows = sorted([(";".join([names[p] for p in key]) or "vacuum", amp)
+                       for key, amp in self.amplitudes.items()])
+        amps = {label: [float(a.x), float(a.y), float(a.u), float(a.v)]
+                for label, a in rows}
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
 
 
@@ -107,7 +122,7 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
     """
     amps: dict = {(): Bicomplex.one()}
 
-    for tag, sector in ((TAG_MIRROR, J_PLUS), (TAG_SYSTEM, J_MINUS)):
+    for tag in (TAG_MIRROR, TAG_SYSTEM):
         labels = {(tag, i, j, flag): z
                   for (i, j), z in pairs.items() for flag in (0, 1)}
         if not labels:
@@ -129,9 +144,23 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
                         mult *= run
                     else:
                         run = 1
-                amp = sector * Bicomplex.from_complex(scalar / mult)
-                if not amp.is_zero():
-                    amps[combo] = amp
+                w = scalar / mult
+                e, f = w.real, w.imag
+                # J+ or J- times e + i f, written out: Bicomplex.__mul__'s
+                # float operations with the zero parts folded in, so signed
+                # zeros and the NaN of inf * 0 come out bit for bit
+                ze, zf = 0.0 * e + 0.0, 0.0 * f + 0.0
+                if tag == TAG_MIRROR:
+                    x = (0.5 * e + 0.0) - zf
+                    y = (0.5 * f + 0.0) + ze
+                    u, v = x, y
+                else:
+                    x = 0.5 * e - zf
+                    y = 0.5 * f + ze
+                    u = (0.0 - 0.5 * e) - zf
+                    v = (0.0 - 0.5 * f) + ze
+                if x or y or u or v:
+                    amps[combo] = Bicomplex(x, y, u, v)
     return StateVector(amps, order)
 
 
@@ -288,28 +317,32 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
 
     Each ket multiset splits into the pair labels whose first momentum
     index lies in the partition and the rest; the amplitude matrix over
-    (left, right) labels is SVD'd in each idempotent sector and the larger
-    count of singular values above 1e-10 times the sector's largest is
-    returned.  The cutoff is relative so that round-off on large
-    amplitudes is not counted.
+    (left, right) labels, numbered in first-seen order, is SVD'd in each
+    idempotent sector and the larger count of singular values above
+    1e-10 times the sector's largest is returned.  The cutoff is relative
+    so that round-off on large amplitudes is not counted; singular values
+    do not depend on the row or column order.
     """
-    split: dict = {}
+    li: dict = {}
+    ri: dict = {}
+    rows, cols, comps = [], [], []
     for key, amp in state.amplitudes.items():
-        left = tuple(p for p in key if p[1] in partition)
-        right = tuple(p for p in key if p[1] not in partition)
-        split[(left, right)] = amp
-
-    lefts = sorted({lr[0] for lr in split})
-    rights = sorted({lr[1] for lr in split})
-    li = {l: n for n, l in enumerate(lefts)}
-    ri = {r: n for n, r in enumerate(rights)}
+        left = tuple([p for p in key if p[1] in partition])
+        right = tuple([p for p in key if p[1] not in partition])
+        rows.append(li.setdefault(left, len(li)))
+        cols.append(ri.setdefault(right, len(ri)))
+        comps.append((amp.x, amp.y, amp.u, amp.v))
+    # complex columns x + iy and u + iv; their sum and difference are the
+    # plus and minus sectors
+    z = np.array(comps, dtype=float).reshape(-1, 4).view(complex)
 
     rank = 0
-    for sector in ("plus", "minus"):
-        mat = np.zeros((len(lefts), len(rights)), dtype=complex)
-        for (l, r), amp in split.items():
-            mat[li[l], ri[r]] = amp.plus() if sector == "plus" else amp.minus()
+    for sector in (z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]):
+        mat = np.zeros((len(li), len(ri)), dtype=complex)
+        mat[rows, cols] = sector
         if mat.size:
-            sv = np.linalg.svd(mat, compute_uv=False)
+            # LAPACK is quicker on tall matrices; M and M^T share singular values
+            sv = np.linalg.svd(mat.T if len(li) < len(ri) else mat,
+                               compute_uv=False)
             rank = max(rank, int((sv > 1e-10 * sv[0]).sum()))
     return rank

@@ -2,15 +2,37 @@
 
 Equality of algebra elements through normal forms, the commutator of two
 polynomials, a polynomial's scalar part, and the property that every
-annihilation operator commutes with every creator.  The package computes
-none of these in production; the tests compare its results against them.
+annihilation operator commutes with every creator.  Also the ring-object
+routes of the state expansion and the inner product, which the package
+replaced by closed forms.  The package computes none of these in
+production; the tests compare its results against them.
 """
+
+import math
+from itertools import combinations_with_replacement
+
+from hypothesis import strategies as st
 
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   commutator, normal_order)
-from hyperfield.ring import Bicomplex
+from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
+from hyperfield.states import TAG_MIRROR, TAG_SYSTEM
 
 SPECIES = ("a1", "b1", "a2", "b2")
+
+
+RING = st.builds(Bicomplex, *(st.floats(-2.0, 2.0),) * 4)
+
+
+@st.composite
+def small_tables(draw) -> CommutationTable:
+    """Lattices of 2 to 9 modes with random rho and, half the time, sigma."""
+    zero = Bicomplex.zero()
+    rho = tuple(draw(st.one_of(st.just(zero), RING)) for _ in range(4))
+    sigma = draw(st.one_of(st.just((zero,) * 4), st.tuples(*(RING,) * 4)))
+    return CommutationTable(rho=rho, sigma=sigma,
+                            delta_k=draw(st.floats(0.1, 0.5)),
+                            N=draw(st.integers(1, 4)), stagger=draw(st.booleans()))
 
 
 def commutator_with(p: OperatorPoly, q: OperatorPoly) -> OperatorPoly:
@@ -46,3 +68,35 @@ def pair_commutation_check(table: CommutationTable) -> bool:
                     if not c.is_zero():
                         return False
     return True
+
+
+def expand_exponential_ring(pairs: dict, order: int) -> dict:
+    """Amplitudes of the truncated exponential as ring products.
+
+    Each amplitude is sector * Bicomplex.from_complex(scalar / mult), in
+    the insertion order of states._expand_exponential.
+    """
+    amps = {(): Bicomplex.one()}
+    for tag, sector in ((TAG_MIRROR, J_PLUS), (TAG_SYSTEM, J_MINUS)):
+        labels = {(tag, i, j, flag): z
+                  for (i, j), z in pairs.items() for flag in (0, 1)}
+        for n in range(1, order + 1):
+            for combo in combinations_with_replacement(sorted(labels), n):
+                scalar = complex(1.0)
+                for name in combo:
+                    scalar *= labels[name]
+                mult = math.prod(math.factorial(combo.count(name))
+                                 for name in set(combo))
+                amp = sector * Bicomplex.from_complex(scalar / mult)
+                if not amp.is_zero():
+                    amps[combo] = amp
+    return amps
+
+
+def inner_ring(left: dict, right: dict) -> Bicomplex:
+    """sum_K conj(left_K) right_K, summed as Bicomplex objects."""
+    total = Bicomplex.zero()
+    for key, amp in left.items():
+        if key in right:
+            total = total + amp.conj() * right[key]
+    return total

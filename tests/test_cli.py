@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import hyperfield
+from hyperfield import cli
 from hyperfield.cli import main
+from hyperfield.ring import Bicomplex
+from hyperfield.states import StateVector
 
 # Directory holding the imported ``hyperfield`` package (``src/`` in a
 # checkout).  Putting it first on the child's path makes the child run the
@@ -120,6 +125,35 @@ class TestEvolve:
                      "finite", "--L1", "-1", "--L2", "1"], tmp_path)
         assert r.returncode == 1
         assert "TruncationOrderTooLarge" in r.stderr
+
+
+class TestStateWriter:
+    """The streaming state dump against json.dumps(indent=2, sort_keys=True)."""
+
+    SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
+               math.inf, -math.inf, 0.1, -2.5e-7)
+
+    @staticmethod
+    def random_state(rng, kets):
+        amps = {}
+        for _ in range(kets):
+            key = tuple(sorted((rng.choice(("2ba", "1ab")), rng.randint(-9, 9),
+                                rng.randint(-9, 9), rng.randint(0, 1))
+                               for _ in range(rng.randint(0, 3))))
+            amps[key] = Bicomplex(*(
+                rng.choice(TestStateWriter.SPECIAL) if rng.random() < 0.5
+                else rng.uniform(-1e3, 1e3) for _ in range(4)))
+        return StateVector(amps, rng.randint(0, 4))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_match_json_dump(self, seed):
+        rng = random.Random(seed)
+        payload = self.random_state(rng, 8 * seed).to_jsonable()
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = list(cli._state_chunks(payload))
+        assert "".join(chunks) == want
+        # streamed: one chunk per ket plus the opening and the closing
+        assert len(chunks) == len(payload["amplitudes"]) + 2
 
 
 class TestAsymptotic:

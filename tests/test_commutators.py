@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfield.commutators import (KERNEL_DELTA, KERNEL_DELTA2_M2,
-                                    QuadratureSpec, bessel_k,
+                                    QuadratureSpec, _contraction_terms,
+                                    bessel_k,
                                     commutator_omega_omegadagger,
                                     commutator_omega_pi_closed,
                                     commutator_omega_pi_m0_limit,
@@ -22,7 +24,7 @@ from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   generic_table, normal_order)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
-from algebra_reference import commutator_with, scalar_part
+from algebra_reference import commutator_with, scalar_part, small_tables
 
 
 @pytest.fixture
@@ -230,6 +232,26 @@ class TestLatticeContraction:
         with pytest.raises(ArithmeticError):
             lattice_commutator("omega_pi", 0.3, 1.1, 0.5,
                                FieldParams(m=1.0), rho_table)
+
+
+class TestLatticeContractionProperty:
+    """The contraction against the normal-ordered route on random tables."""
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(small_tables(), st.sampled_from(("omega_omega", "pi_pi", "omega_pi")),
+           st.booleans(), st.floats(0.6, 2.0), st.floats(0.0, 1.0),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))
+    def test_matches_normal_ordered_route(self, table, which, weighted, m,
+                                          gamma, x, xp, t):
+        p = FieldParams(m=m, gamma=gamma)
+        comm = normal_ordered_commutator(which, x, xp, t, p, table, weighted)
+        assert set(comm.terms) <= {()}
+        want = scalar_part(comm)
+        got = lattice_commutator(which, x, xp, t, p, table, weighted)
+        scale = sum(c.norm() for c in _contraction_terms(
+            which, x, xp, t, p, table, weighted))
+        assert (got - want).norm() <= 1e-12 * scale
 
 
 class TestQuadratureOracle:

@@ -11,7 +11,7 @@ from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
 from algebra_reference import (commutator_with, pair_commutation_check,
-                               polys_equal)
+                               polys_equal, small_tables)
 
 
 @pytest.fixture
@@ -172,6 +172,31 @@ class TestJacobi:
                    + commutator_with(z, commutator_with(x, y))
                    + commutator_with(y, commutator_with(z, x)))
             assert normal_order(jac, table).is_zero(1e-12)
+
+
+WORDS = st.lists(LADDERS, min_size=1, max_size=2).map(tuple)
+SMALL_POLYS = st.dictionaries(WORDS, COEFFS, min_size=1, max_size=3).map(
+    OperatorPoly)
+
+
+class TestJacobiProperty:
+    """[x, [y, z]] + cyclic vanishes when every bracket is normal-ordered."""
+
+    @PROPERTY
+    @given(small_tables(), SMALL_POLYS, SMALL_POLYS, SMALL_POLYS)
+    def test_cyclic_sum_vanishes(self, table, x, y, z):
+        def bracket(p, q):
+            return normal_order(commutator_with(p, q), table)
+
+        jac = (bracket(x, bracket(y, z)) + bracket(z, bracket(x, y))
+               + bracket(y, bracket(z, x)))
+        # each term is three coefficients times at most two table values,
+        # each at most 4 / delta_k in norm; 8 allows for the ring norm not
+        # being submultiplicative
+        size = math.prod(sum(c.norm() for c in p.terms.values())
+                         for p in (x, y, z))
+        scale = size * (1.0 + 8.0 / table.delta_k) ** 2
+        assert jac.max_norm() <= 1e-12 * scale
 
 
 class TestVacuumRules:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import algebra_reference as ref
 from hyperfield import states
 from hyperfield.errors import PoleAtZeroMomentum, TruncationOrderTooLarge
 from hyperfield.modes import FieldParams, omega
@@ -307,3 +308,106 @@ class TestStateVector:
         assert payload["truncation_order"] == 1
         assert "vacuum" in payload["amplitudes"]
         assert all(len(v) == 4 for v in payload["amplitudes"].values())
+
+    def test_jsonable_keys_in_label_string_order(self, params, table):
+        amps = asymptotic_state_finite(2, params, -1.0, 2.0, table,
+                                       include_cross_term=True).to_jsonable()
+        labels = list(amps["amplitudes"])
+        assert labels == sorted(labels)
+
+
+def _hexes(amps: dict) -> list:
+    """Keys in insertion order with the float.hex of every component."""
+    return [(key, tuple(float.hex(c) for c in a.to_tuple()))
+            for key, a in amps.items()]
+
+
+def _expanded(monkeypatch, build):
+    """Run build(); return the (pairs, order) it expanded and its state."""
+    seen = []
+    expand = states._expand_exponential
+
+    def spy(pairs, order):
+        seen.append((pairs, order))
+        return expand(pairs, order)
+
+    monkeypatch.setattr(states, "_expand_exponential", spy)
+    state = build()
+    (pairs, order), = seen
+    return pairs, order, state
+
+
+STAGGERED = CommutationTable(delta_k=0.2, N=3, stagger=True)
+UNSTAGGERED = CommutationTable(delta_k=0.3, N=2, stagger=False)
+FINITE = GeometrySpec("finite_interval", -1.1, 0.7)
+P_REF = FieldParams(m=1.2, gamma=0.6)
+
+
+def _evolved(t, table, geom, order=3):
+    return lambda: evolve_vacuum(t, order, P_REF, geom, table, RULES)
+
+
+def _asymptotic(cross):
+    return lambda: asymptotic_state_finite(3, P_REF, -1.3, 1.7, STAGGERED,
+                                           include_cross_term=cross)
+
+
+class TestAgainstRingRoutes:
+    """Closed-form expansion and inner product against the Bicomplex routes."""
+
+    @pytest.mark.parametrize("build", [
+        _evolved(0.37, STAGGERED, GEOM), _evolved(-0.6, STAGGERED, GEOM),
+        _evolved(0.0, STAGGERED, GEOM), _evolved(0.4, UNSTAGGERED, FINITE, 2),
+        _evolved(-0.4, UNSTAGGERED, FINITE, 2),
+        _evolved(-2.0, STAGGERED, FINITE, 2),
+        _asymptotic(False), _asymptotic(True),
+    ], ids=["infinite", "t_negative", "t_zero", "unstaggered_finite",
+            "unstaggered_t_negative", "staggered_finite", "asymptotic",
+            "asymptotic_cross_term"])
+    def test_expansion_and_inner_bit_identical(self, monkeypatch, build):
+        pairs, order, state = _expanded(monkeypatch, build)
+        want = ref.expand_exponential_ring(pairs, order)
+        assert _hexes(state.amplitudes) == _hexes(want)
+        ip = state.inner(state)
+        assert _hexes({0: ip}) == _hexes({0: ref.inner_ring(want, want)})
+        dev = (ref.inner_ring(want, want) - Bicomplex.one()).norm()
+        assert states.norm_deviation(state).hex() == dev.hex()
+
+    def test_inner_of_different_states(self):
+        a = evolve_vacuum(0.3, 2, P_REF, GEOM, STAGGERED, RULES)
+        b = asymptotic_state_finite(3, P_REF, -1.3, 1.7, STAGGERED)
+        for x, y in ((a, b), (b, a)):
+            got = x.inner(y)
+            want = ref.inner_ring(x.amplitudes, y.amplitudes)
+            assert _hexes({0: got}) == _hexes({0: want})
+
+    def test_inner_of_general_amplitudes(self):
+        # all four parts nonzero, so the grouping of each product's sums
+        # decides its rounding; one-ket states keep a sum from hiding it
+        rng = np.random.default_rng(3)
+        keys = [((TAG_MIRROR, i, i, 0),) for i in range(40)]
+
+        def state(kets):
+            return StateVector({key: Bicomplex(*map(float, rng.uniform(-2, 2, 4)))
+                                for key in keys[:kets]})
+
+        pairs = [(state(1), state(1)) for _ in range(50)]
+        a, b = state(40), state(30)
+        for x, y in pairs + [(a, b), (b, a), (a, a)]:
+            want = ref.inner_ring(x.amplitudes, y.amplitudes)
+            assert _hexes({0: x.inner(y)}) == _hexes({0: want})
+
+    def test_special_weights(self):
+        # signed zeros, subnormals, overflow to inf and inf * 0 = nan
+        inf, nan = math.inf, math.nan
+        weights = [complex(-0.0, 5e-324), complex(1e308, -0.0),
+                   complex(-5e-324, 1e-300), complex(inf, 1.0),
+                   complex(nan, 0.0), complex(0.0, -inf),
+                   complex(-0.0, -0.0), complex(-2.5, 0.75)]
+        pairs = {(i, -i): z for i, z in enumerate(weights)}
+        for order in (1, 2):
+            state = states._expand_exponential(pairs, order)
+            want = ref.expand_exponential_ring(pairs, order)
+            assert _hexes(state.amplitudes) == _hexes(want)
+            assert _hexes({0: state.inner(state)}) == _hexes(
+                {0: ref.inner_ring(want, want)})
