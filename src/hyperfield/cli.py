@@ -204,19 +204,18 @@ def _state_chunks(payload: dict):
 
 # -- verbs -------------------------------------------------------------------
 
+def _defect_mul(a: Bicomplex, b: Bicomplex) -> Bicomplex:
+    """Product with j^2 = -1: ring-check --selftest-defect's failure path."""
+    good = a * b
+    return Bicomplex(good.x - 2 * a.u * b.u, good.y, good.u, good.v)
+
+
 def cmd_ring_check(args) -> int:
     if args.checks < 1:
         raise ConfigError("--checks must be >= 1")
-    mul_fn = None
-    if args.selftest_defect:
-        # deliberately broken product (unit table with j^2 = -1) to
-        # demonstrate the failure path
-        def mul_fn(a, b):
-            good = a * b
-            return Bicomplex(good.x - 2 * a.u * b.u, good.y, good.u, good.v)
     rep = verification.ring_property_suite(
         n_checks=args.checks, seed=args.seed,
-        **({"mul_fn": mul_fn} if mul_fn else {}))
+        **({"mul_fn": _defect_mul} if args.selftest_defect else {}))
     print(f"ring-check: {rep['checks']} checks in {rep['seconds']:.2f}s")
     if rep["failures"]:
         print("failing properties: " + ", ".join(rep["failures"]))
@@ -302,9 +301,14 @@ def cmd_asymptotic(args, cfg: dict) -> int:
     ts = _times(args.t_values) if args.t_values else [0.0, 1.0, 10.0, 100.0]
     order = cfg["truncation_order"]
     if args.geometry == "finite":
-        _warn_lattice_span(cfg)
         L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
         state = asymptotic_state_finite(order, params, L1, L2, table)
+        # not finite once an amplitude or the norm overflows; the rank's
+        # SVD cannot take such a state
+        if not math.isfinite(norm_deviation(state)):
+            raise ConfigError(f"interval [{L1:g}, {L2:g}] overflows the "
+                              f"asymptotic state")
+        _warn_lattice_span(cfg)
         out = args.output or os.path.join(cfg["output_dir"],
                                           "asymptotic_state.json")
         _write(out, _state_chunks(state.to_jsonable()))

@@ -4,9 +4,10 @@ Unit table: i^2 = -1, j^2 = +1, (ij)^2 = -1, ij = ji.  The ring splits into
 two standard-complex sectors through the orthogonal idempotents
 J+ = (1+j)/2 and J- = (1-j)/2, which are zero divisors (J+ J- = 0).
 
-Components may be floats or ``fractions.Fraction``; arithmetic stays inside
-whatever numeric type is supplied, so the ring identities can be checked
-exactly in rational mode.
+Components are floats or ints; arithmetic stays inside the numeric type
+supplied, so on ints the ring identities are checked exactly.
+``fractions.Fraction`` is used only by idempotents_exact, whose halves have
+no integer form.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ J_MINUS = Bicomplex(0.5, 0.0, -0.5, 0.0)
 
 
 def idempotents_exact():
-    """J+ and J- with exact rational components, for the rational test mode."""
+    """J+ and J- with exact rational components (halves), as Fractions."""
     half = Fraction(1, 2)
     return (Bicomplex(half, 0, half, 0), Bicomplex(half, 0, -half, 0))
 

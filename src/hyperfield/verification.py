@@ -17,7 +17,6 @@ import operator
 import random
 import time
 import traceback
-from fractions import Fraction
 
 from . import commutators as fc
 from . import states as st
@@ -71,11 +70,16 @@ def _rises(values) -> int:
     return sum(not a > b for a, b in zip(values, values[1:]))
 
 
-# -- 1: exact rational ring suite -------------------------------------------
+# -- 1: exact ring suite: integer arithmetic on draws scaled by lcm(1..9) -----
 
 def _random_rational_element(rng: random.Random) -> Bicomplex:
-    def q() -> Fraction:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    """Four rationals n/d (n in [-9, 9], d in [1, 9]), each scaled by 2520.
+
+    2520 = lcm(1..9), so each component is the int n * (2520 // d); the
+    numerator is drawn before the denominator.
+    """
+    def q() -> int:
+        return rng.randint(-9, 9) * (2520 // rng.randint(1, 9))
     return Bicomplex(q(), q(), q(), q())
 
 
@@ -85,7 +89,13 @@ def _sectors_exact(a: Bicomplex):
 
 def ring_property_suite(n_checks: int = 10_000, seed: int = 7,
                         mul_fn=operator.mul) -> dict:
-    """Randomized ring-axiom suite in exact rational mode.
+    """Randomized ring-axiom suite in exact integer arithmetic.
+
+    Each triple is drawn as rationals and scaled by lcm(1..9) = 2520 (see
+    _random_rational_element).  Every property checked per triple is
+    homogeneous of equal degree on both sides, so the scaling keeps each
+    verdict.  The idempotent check (jp * jp == jp) is not homogeneous; it
+    runs once, on idempotents_exact() in Fraction.
 
     Returns {"checks": int, "failures": [names], "seconds": float}.  The
     mul_fn hook, which sees each distinct product once, lets the CLI

@@ -4,18 +4,22 @@ Equality of algebra elements through normal forms, the commutator of two
 polynomials, a polynomial's scalar part, and the property that every
 annihilation operator commutes with every creator.  Also the ring-object
 routes of the state expansion and the inner product, which the package
-replaced by closed forms.  The package computes none of these in
-production; the tests compare its results against them.
+replaced by closed forms, and the ring property suite in Fraction
+arithmetic, which the package runs on integers.  The package computes none
+of these in production; the tests compare its results against them.
 """
 
 import math
+import operator
+import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from hypothesis import strategies as st
 
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   commutator, normal_order)
-from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
+from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS, idempotents_exact
 from hyperfield.states import TAG_MIRROR, TAG_SYSTEM
 
 SPECIES = ("a1", "b1", "a2", "b2")
@@ -100,3 +104,56 @@ def inner_ring(left: dict, right: dict) -> Bicomplex:
         if key in right:
             total = total + amp.conj() * right[key]
     return total
+
+
+def random_rational_element_fraction(rng: random.Random) -> Bicomplex:
+    """Four Fractions n/d, n in [-9, 9] drawn before d in [1, 9]."""
+    def q() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Bicomplex(q(), q(), q(), q())
+
+
+def ring_property_suite_fraction(n_checks: int = 10_000, seed: int = 7,
+                                 mul_fn=operator.mul) -> dict:
+    """verification.ring_property_suite on unscaled Fraction draws.
+
+    Returns {"checks": int, "failures": [names]}, tallied in the same
+    order over the same seeded draws.
+    """
+    def sectors(a: Bicomplex):
+        return (a.x + a.u, a.y + a.v, a.x - a.u, a.y - a.v)
+
+    rng = random.Random(seed)
+    jp, jm = idempotents_exact()
+    failures: list[str] = []
+    checks = 0
+    idempotents_ok = (mul_fn(jp, jp) == jp and mul_fn(jm, jm) == jm
+                      and mul_fn(jp, jm).is_zero()
+                      and (jp + jm) == Bicomplex(1, 0, 0, 0))
+
+    def tally(name: str, ok: bool):
+        nonlocal checks
+        checks += 1
+        if not ok and name not in failures:
+            failures.append(name)
+
+    while checks < n_checks:
+        a = random_rational_element_fraction(rng)
+        b = random_rational_element_fraction(rng)
+        c = random_rational_element_fraction(rng)
+        ab, a_conj = mul_fn(a, b), a.conj()
+        tally("mul_associative", mul_fn(ab, c) == mul_fn(a, mul_fn(b, c)))
+        tally("mul_commutative", ab == mul_fn(b, a))
+        tally("distributive", mul_fn(a, b + c) == ab + mul_fn(a, c))
+        tally("conj_multiplicative", ab.conj() == mul_fn(a_conj, b.conj()))
+        tally("conj_involutive", a_conj.conj() == a)
+        m = mul_fn(a, a_conj)
+        tally("modulus_in_real_ij_subring", m.y == 0 and m.u == 0)
+        tally("idempotent_algebra", idempotents_ok)
+        pr, pi, mr, mi = sectors(ab)
+        ar, ai, amr, ami = sectors(a)
+        br, bi, bmr, bmi = sectors(b)
+        tally("sector_isomorphism",
+              pr == ar * br - ai * bi and pi == ar * bi + ai * br
+              and mr == amr * bmr - ami * bmi and mi == amr * bmi + ami * bmr)
+    return {"checks": checks, "failures": failures}

@@ -38,7 +38,8 @@ class TestRingCheck:
     def test_defect_hook_fails(self, tmp_path):
         r = run_cli(["ring-check", "--checks", "500", "--selftest-defect"], tmp_path)
         assert r.returncode == 1
-        assert "failing properties" in r.stdout
+        assert r.stdout.splitlines()[1] == ("failing properties: mul_associative, "
+                                            "idempotent_algebra, sector_isomorphism")
 
     def test_checks_round_up_to_whole_blocks(self, capsys):
         assert main(["ring-check", "--checks", "9"]) == 0
@@ -231,13 +232,27 @@ class TestConfig:
         ["asymptotic", "--geometry", "infinite", "--t-values", "1e308"],
         ["ring-check", "--checks", "0"],
         ["ring-check", "--checks", "-5"],
+        # a leading dict is a config, written outside the checked cwd
+        [{"N": 2}, "asymptotic", "--geometry", "finite", "--order", "2",
+         "--L1=-1e300", "--L2=1e300"],
+        [{"N": 2}, "asymptotic", "--geometry", "finite", "--order", "4",
+         "--L1=-1e150", "--L2=1e150"],
+        [{"N": 2}, "asymptotic", "--geometry", "finite", "--order", "2",
+         "--L1=-1e153", "--L2=1e153"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
             "evolve_L1_without_finite", "asymptotic_L2_without_finite",
             "evolve_t_overflows", "t_values_overflow", "checks_zero",
-            "checks_negative"])
-    def test_malformed_flag_is_usage_error(self, tmp_path, args):
+            "checks_negative", "asymptotic_amplitudes_overflow",
+            "asymptotic_order4_amplitudes_overflow",
+            "asymptotic_norm_overflows"])
+    def test_malformed_flag_is_usage_error(self, tmp_path, tmp_path_factory,
+                                           args):
+        if isinstance(args[0], dict):
+            cfg = tmp_path_factory.mktemp("config") / "c.json"
+            cfg.write_text(json.dumps(args[0]))
+            args = ["--config", str(cfg), *args[1:]]
         r = run_cli(args, tmp_path)
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr

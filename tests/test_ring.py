@@ -1,10 +1,12 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import algebra_reference as ref
 from hyperfield import cli
 from hyperfield import verification as vf
 from hyperfield.errors import NotInvertible
@@ -16,11 +18,6 @@ from hyperfield.ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS,
 def rand_elem(rng):
     return Bicomplex(rng.uniform(-2, 2), rng.uniform(-2, 2),
                      rng.uniform(-2, 2), rng.uniform(-2, 2))
-
-
-def rand_rational(rng):
-    q = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return Bicomplex(q(), q(), q(), q())
 
 
 class TestUnitTable:
@@ -103,7 +100,8 @@ class TestRingAxiomsExact:
     def test_rational_axioms(self):
         rng = random.Random(11)
         for _ in range(300):
-            a, b, c = (rand_rational(rng) for _ in range(3))
+            a, b, c = (ref.random_rational_element_fraction(rng)
+                       for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
@@ -172,6 +170,47 @@ class TestPropertySuite:
         rep = vf.ring_property_suite(8, mul_fn=mul_fn)
         assert rep["checks"] == 8
         assert rep["failures"] == properties
+
+
+class TestIntegerRoute:
+    """The suite's scaled-integer route against the Fraction reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 42])
+    @pytest.mark.parametrize("mul_fn", [operator.mul, cli._defect_mul],
+                             ids=["product", "cli_defect"])
+    def test_verdicts_match_fraction_suite(self, seed, mul_fn):
+        rep = vf.ring_property_suite(2000, seed=seed, mul_fn=mul_fn)
+        want = ref.ring_property_suite_fraction(2000, seed=seed, mul_fn=mul_fn)
+        assert (rep["checks"], rep["failures"]) == (want["checks"],
+                                                    want["failures"])
+
+    def test_draws_are_ints_2520_times_the_fraction_draws(self):
+        for seed in (1, 2, 3, 7, 42):
+            rng, rng_ref = random.Random(seed), random.Random(seed)
+            for _ in range(300):
+                got = vf._random_rational_element(rng).to_tuple()
+                want = ref.random_rational_element_fraction(rng_ref).to_tuple()
+                assert all(type(c) is int for c in got)
+                assert got == tuple(2520 * q for q in want)
+
+    def test_only_the_idempotents_are_fractions(self):
+        jp, jm = idempotents_exact()
+        assert jp.to_tuple() == (Fraction(1, 2), 0, Fraction(1, 2), 0)
+        assert jm.to_tuple() == (Fraction(1, 2), 0, Fraction(-1, 2), 0)
+        assert all(type(c) is Fraction for c in (jp.x, jp.u, jm.x, jm.u))
+        operands = []
+
+        def mul_fn(x, y):
+            operands.extend((x, y))
+            return x * y
+        vf.ring_property_suite(80, mul_fn=mul_fn)
+        # jp jp, jm jm and jp jm, once each
+        assert sum(o in (jp, jm) for o in operands) == 6
+        for o in operands:
+            if o in (jp, jm):
+                assert type(o.x) is type(o.u) is Fraction, o
+            else:
+                assert all(type(c) is int for c in o.to_tuple()), o
 
 
 class TestIdempotentDecomposition:
