@@ -1,12 +1,12 @@
 """Bicomplex-ring toolkit for two dissipatively coupled charged scalar fields."""
 
 from .errors import (DomainError, HyperfieldError, ImaginaryFrequency,
-                     NonConvergent, NotInvertible, PoleAtZeroMomentum,
+                     NonConvergent, PoleAtZeroMomentum,
                      TruncationOrderTooLarge, UndeterminedByAxioms)
 from .ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS, J_UNIT, ONE,
-                   ZERO, exp_bicomplex, exp_ring)
-from .modes import (FieldParams, ModeSolution, dissipative_coefficients,
-                    eom_residual, field_value, make_mode, omega)
+                   ZERO, exp_bicomplex)
+from .modes import (FieldParams, ModeSolution, eom_residual, field_value,
+                    make_mode, omega)
 from .operators import (CommutationTable, ModeOp, OperatorPoly, VacuumRules,
                         anticommutator, commutator, generic_table,
                         normal_order, vev)
@@ -21,7 +21,7 @@ from .commutators import (CommutatorResult, QuadratureSpec, bessel_k,
 from .observables import (GeometrySpec, charge_density_classical, charge_poly,
                           geometry_kernel, h_gamma, hamiltonian_poly,
                           noether_residual, vev_H, vev_Q)
-from .states import (PhasePair, StateVector, asymptotic_state_finite,
+from .states import (StateVector, asymptotic_state_finite,
                      asymptotic_state_infinite, eta_k, evolve_vacuum,
                      norm_preservation, overlap_phases, overlap_with_vacuum,
                      project_view, schmidt_rank)

@@ -22,7 +22,7 @@ from .commutators import (commutator_omega_omegadagger, commutator_pi_pidagger,
 from .errors import DomainError, HyperfieldError
 from .modes import FieldParams
 from .observables import GeometrySpec
-from .operators import CommutationTable, VacuumRules
+from .operators import CommutationTable
 from .ring import Bicomplex
 from .states import (asymptotic_state_finite, asymptotic_state_infinite,
                      evolve_vacuum, norm_deviation, schmidt_rank)
@@ -210,7 +210,24 @@ def _defect_mul(a: Bicomplex, b: Bicomplex) -> Bicomplex:
     return Bicomplex(good.x - 2 * a.u * b.u, good.y, good.u, good.v)
 
 
-def cmd_ring_check(args) -> int:
+def _dump_state(state, table, args, cfg: dict, name: str, what: str):
+    """Write a state dump after its checks; return (deviation, path, rank).
+
+    The state is refused, before anything is written, when its norm
+    deviation is not finite: an amplitude or the norm has overflowed, and
+    the rank's SVD cannot take it.  The rank splits each ket at the
+    lattice's first momentum index.
+    """
+    dev = norm_deviation(state)
+    if not math.isfinite(dev):
+        raise ConfigError(f"{what} overflows the {name} state")
+    _warn_lattice_span(cfg)
+    out = args.output or os.path.join(cfg["output_dir"], f"{name}_state.json")
+    _write(out, _state_chunks(state.to_jsonable()))
+    return dev, out, schmidt_rank(state, {table.momentum_indices()[0]})
+
+
+def cmd_ring_check(args, _cfg: dict) -> int:
     if args.checks < 1:
         raise ConfigError("--checks must be >= 1")
     rep = verification.ring_property_suite(
@@ -274,16 +291,9 @@ def cmd_evolve(args, cfg: dict) -> int:
         raise ConfigError("--t must be a finite number")
     geom = _geometry(cfg)
     order = cfg["truncation_order"]
-    rules = VacuumRules.constrained_rules()
-    state = evolve_vacuum(args.t, order, params, geom, table, rules)
-    dev = norm_deviation(state)  # not finite once an amplitude overflows
-    if not math.isfinite(dev):
-        raise ConfigError(f"--t {args.t:g} overflows the evolved state")
-    _warn_lattice_span(cfg)
-    out = args.output or os.path.join(cfg["output_dir"], "evolved_state.json")
-    _write(out, _state_chunks(state.to_jsonable()))
-    part = {table.momentum_indices()[0]}
-    rank = schmidt_rank(state, part)
+    state = evolve_vacuum(args.t, order, params, geom, table)
+    dev, out, rank = _dump_state(state, table, args, cfg, "evolved",
+                                  f"--t {args.t:g}")
     print(f"t={args.t} order={order} kets={len(state.amplitudes)} "
           f"norm_deviation={dev:.3e} schmidt_rank={rank}")
     if geom.kind == "infinite_line" and params.gamma > 0:
@@ -303,18 +313,10 @@ def cmd_asymptotic(args, cfg: dict) -> int:
     if args.geometry == "finite":
         L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
         state = asymptotic_state_finite(order, params, L1, L2, table)
-        # not finite once an amplitude or the norm overflows; the rank's
-        # SVD cannot take such a state
-        if not math.isfinite(norm_deviation(state)):
-            raise ConfigError(f"interval [{L1:g}, {L2:g}] overflows the "
-                              f"asymptotic state")
-        _warn_lattice_span(cfg)
-        out = args.output or os.path.join(cfg["output_dir"],
-                                          "asymptotic_state.json")
-        _write(out, _state_chunks(state.to_jsonable()))
-        part = {table.momentum_indices()[0]}
+        _, out, rank = _dump_state(state, table, args, cfg, "asymptotic",
+                                   f"interval [{L1:g}, {L2:g}]")
         print(f"finite [{L1}, {L2}] order={order} kets={len(state.amplitudes)} "
-              f"schmidt_rank={schmidt_rank(state, part)}")
+              f"schmidt_rank={rank}")
         print(f"wrote state to {out}")
         return 0
     diags = asymptotic_state_infinite(ts, params, table)
@@ -370,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--x-min", type=float, default=0.1)
     cm.add_argument("--x-max", type=float, default=10.0)
     cm.add_argument("--steps", type=int, default=100)
-    cm.add_argument("--output")
 
     ev = sub.add_parser("evolve", help="evolve the vacuum and dump the state")
     ev.add_argument("--t", type=float, required=True)
@@ -378,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--geometry", choices=("finite", "infinite"))
     ev.add_argument("--L1", type=float)
     ev.add_argument("--L2", type=float)
-    ev.add_argument("--output")
 
     asy = sub.add_parser("asymptotic", help="asymptotic state or diagnostics")
     asy.add_argument("--geometry", required=True, choices=("finite", "infinite"))
@@ -386,29 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
     asy.add_argument("--L1", type=float)
     asy.add_argument("--L2", type=float)
     asy.add_argument("--t-values", help="comma-separated times (infinite)")
-    asy.add_argument("--output")
 
     vf = sub.add_parser("verify", help="run the acceptance criteria")
-    vf.add_argument("--output")
+    for verb in (cm, ev, asy, vf):
+        verb.add_argument("--output")
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # built per call, so a cmd_* attribute wrapped after import is the one run
+    commands = {"ring-check": cmd_ring_check, "commutator": cmd_commutator,
+                "evolve": cmd_evolve, "asymptotic": cmd_asymptotic,
+                "verify": cmd_verify}
     try:
-        cfg = load_config(args)
-        if args.verb == "ring-check":
-            return cmd_ring_check(args)
-        if args.verb == "commutator":
-            return cmd_commutator(args, cfg)
-        if args.verb == "evolve":
-            return cmd_evolve(args, cfg)
-        if args.verb == "asymptotic":
-            return cmd_asymptotic(args, cfg)
-        if args.verb == "verify":
-            return cmd_verify(args, cfg)
-        raise ConfigError(f"unknown verb {args.verb}")
+        return commands[args.verb](args, load_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,8 +43,7 @@ from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1, y1 as _scipy_y1
 
 from .errors import DomainError, NonConvergent
 from .modes import FieldParams, omega
-from .operators import (CommutationTable, ModeOp, OperatorPoly, commutator,
-                        generic_table)
+from .operators import CommutationTable, ModeOp, OperatorPoly, commutator
 from .ring import Bicomplex, J_MINUS, J_PLUS
 
 
@@ -77,24 +76,16 @@ def sum_bracket(table: CommutationTable) -> Bicomplex:
 # structural results (delta-type kernels)
 # ---------------------------------------------------------------------------
 
-KERNEL_DELTA = "delta"
-KERNEL_DELTA2_M2 = "delta_second_derivative_minus_M2_delta"
-KERNEL_K1_OVER_DX = "bessel_K1_over_dx"
-KERNEL_K0 = "bessel_K0"
-
-
 @dataclass(frozen=True)
 class CommutatorResult:
-    """Structural commutator: coefficient times a named kernel.
+    """Structural commutator: a bracket coefficient times a kernel.
 
     For delta kernels the value is coefficient * (2 pi)^n * kernel(dx);
     delta_coeff / delta2_coeff carry the split of composite kernels.
     value_at evaluates smooth kernels pointwise (None for distributions).
     """
 
-    which: str
     coefficient: Bicomplex
-    kernel: str
     delta_coeff: Optional[Bicomplex] = None
     delta2_coeff: Optional[Bicomplex] = None
     value_at: Optional[Callable[[float], Bicomplex]] = None
@@ -103,8 +94,7 @@ class CommutatorResult:
 def commutator_omega_omegadagger(table: CommutationTable) -> CommutatorResult:
     """[Omega, Omega+]: a pure Dirac delta, independent of t, gamma and m."""
     coeff = difference_bracket(table)
-    return CommutatorResult("omega_omega", coeff, KERNEL_DELTA,
-                            delta_coeff=coeff)
+    return CommutatorResult(coeff, delta_coeff=coeff)
 
 
 def commutator_pi_pidagger(table: CommutationTable,
@@ -112,7 +102,7 @@ def commutator_pi_pidagger(table: CommutationTable,
     """[Pi, Pi+]: delta'' - M^2 delta with the same difference bracket."""
     coeff = difference_bracket(table)
     m2 = params.m2_mod
-    return CommutatorResult("pi_pi", coeff, KERNEL_DELTA2_M2,
+    return CommutatorResult(coeff,
                             delta_coeff=coeff * Bicomplex.from_complex(-m2),
                             delta2_coeff=coeff)
 
@@ -435,8 +425,7 @@ def weighted_commutators(which: str, delta_x: float, params: FieldParams,
     """
     if which == "omega_pi":
         coeff = Bicomplex.from_complex(-1j) * sum_bracket(table)
-        return CommutatorResult("w_omega_pi", coeff, KERNEL_DELTA,
-                                delta_coeff=coeff)
+        return CommutatorResult(coeff, delta_coeff=coeff)
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError(f"weighted kernels require M^2 > 0, got {m2}")
@@ -451,9 +440,7 @@ def weighted_commutators(which: str, delta_x: float, params: FieldParams,
             raise DomainError(f"K{order} kernel diverges at dx = 0")
         prof = 2.0 * bessel_k(order, mmod * abs(dx)) * (mmod / abs(dx)) ** order
         return bdiff * Bicomplex.from_complex(prof)
-    return CommutatorResult("w_" + which, bdiff,
-                            (KERNEL_K0, KERNEL_K1_OVER_DX)[order],
-                            value_at=value_at)
+    return CommutatorResult(bdiff, value_at=value_at)
 
 
 def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
@@ -473,7 +460,7 @@ def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
 # ---------------------------------------------------------------------------
 
 def figure_data(figure: str, grid, params: FieldParams,
-                table: CommutationTable | None = None) -> list[tuple[float, float, float]]:
+                table: CommutationTable) -> list[tuple[float, float, float]]:
     """CSV-ready sweep (abscissa, re, im) for the commutator profiles.
 
     fig1: [Omega, Pi] closed form vs dx.     fig2: same vs M at fixed dx.
@@ -482,8 +469,6 @@ def figure_data(figure: str, grid, params: FieldParams,
     grid is (lo, hi, steps) plus an optional fixed dx as 4th entry for the
     M sweeps (default 1.0).  Reported re/im are the plus-sector components.
     """
-    if table is None:
-        table = generic_table()
     lo, hi, steps = grid[0], grid[1], int(grid[2])
     fixed_dx = grid[3] if len(grid) > 3 else 1.0
     if steps < 1:

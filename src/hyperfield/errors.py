@@ -5,10 +5,6 @@ class HyperfieldError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotInvertible(HyperfieldError, ZeroDivisionError):
-    """Ring element has a zero divisor factor and no multiplicative inverse."""
-
-
 class ImaginaryFrequency(HyperfieldError, ValueError):
     """Momentum lies inside the IR-cutoff region: k^2 + M^2 < 0."""
 

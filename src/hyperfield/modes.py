@@ -37,11 +37,6 @@ class FieldParams:
         return self.m * self.m - self.gamma * self.gamma / 4.0
 
 
-def dissipative_coefficients(params: FieldParams) -> tuple[float, float]:
-    """Damping exponents of the two sectors: (-gamma/2, +gamma/2)."""
-    return (-params.gamma / 2.0, params.gamma / 2.0)
-
-
 def omega(k: float, params: FieldParams) -> float:
     """Positive frequency sqrt(k^2 + M^2).
 
@@ -80,9 +75,9 @@ def make_mode(branch: str, k: float, params: FieldParams,
     """Mode with frequency and damping consistent with the field parameters."""
     if branch not in (PLUS, MINUS):
         raise ValueError(f"unknown branch {branch!r}")
-    g1, g2 = dissipative_coefficients(params)
-    return ModeSolution(branch, coeff_a, coeff_b, k,
-                        omega(k, params), g1 if branch == PLUS else g2)
+    half = params.gamma / 2.0
+    return ModeSolution(branch, coeff_a, coeff_b, k, omega(k, params),
+                        -half if branch == PLUS else half)
 
 
 def _superpose(modes: list[ModeSolution], x, t: float, factors) -> Bicomplex:

@@ -12,12 +12,9 @@ no integer form.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import NotInvertible
 
 _SCALARS = (int, float, Fraction)
 
@@ -41,18 +38,6 @@ class Bicomplex:
         if isinstance(z, complex):
             return Bicomplex(z.real, z.imag, 0.0, 0.0)
         return Bicomplex(z, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_sectors(plus, minus) -> "Bicomplex":
-        """Build the element J+ * plus + J- * minus from two complex sectors."""
-        plus = complex(plus)
-        minus = complex(minus)
-        return Bicomplex(
-            (plus.real + minus.real) / 2.0,
-            (plus.imag + minus.imag) / 2.0,
-            (plus.real - minus.real) / 2.0,
-            (plus.imag - minus.imag) / 2.0,
-        )
 
     @staticmethod
     def zero() -> "Bicomplex":
@@ -123,13 +108,6 @@ class Bicomplex:
         """Standard-complex component multiplying J-."""
         return complex(self.x - self.u, self.y - self.v)
 
-    def inverse(self) -> "Bicomplex":
-        """Multiplicative inverse; raises NotInvertible on zero divisors."""
-        p, m = self.plus(), self.minus()
-        if p == 0 or m == 0:
-            raise NotInvertible(f"zero divisor has no inverse: {self!r}")
-        return Bicomplex.from_sectors(1.0 / p, 1.0 / m)
-
     # -- predicates / numerics ---------------------------------------------
 
     def is_zero(self) -> bool:
@@ -181,8 +159,3 @@ def exp_bicomplex(alpha: float, beta: float) -> Bicomplex:
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cosh(beta), math.sinh(beta)
     return Bicomplex(ca * cb, sa * cb, ca * sb, sa * sb)
-
-
-def exp_ring(a: Bicomplex) -> Bicomplex:
-    """Exponential of a general ring element via the idempotent split."""
-    return Bicomplex.from_sectors(cmath.exp(a.plus()), cmath.exp(a.minus()))

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import PoleAtZeroMomentum, TruncationOrderTooLarge
+from .errors import DomainError, PoleAtZeroMomentum, TruncationOrderTooLarge
 from .modes import FieldParams, omega
 from .observables import (FINITE_INTERVAL, GeometrySpec, geometry_kernel,
                           h_gamma, hamiltonian_terms)
@@ -33,14 +32,6 @@ TAG_MIRROR = "2ba"    # J+ sector: pairs of b2+, a2+ quanta (environment copy)
 TAG_SYSTEM = "1ab"    # J- sector: pairs of a1+, b1+ quanta (subsystem)
 
 BASIS_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    """Elliptic and hyperbolic phases of the vacuum overlap."""
-
-    alpha: float
-    beta: float
 
 
 class StateVector:
@@ -89,9 +80,6 @@ class StateVector:
             else:
                 out[key] = s
         return StateVector(out, max(self.truncation_order, other.truncation_order))
-
-    def support(self) -> set:
-        return set(self.amplitudes)
 
     def excited_support(self) -> set:
         return {k for k in self.amplitudes if k != ()}
@@ -165,16 +153,14 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
 
 
 def evolve_vacuum(t: float, order: int, params: FieldParams,
-                  geom: GeometrySpec, table: CommutationTable,
-                  rules: VacuumRules) -> StateVector:
-    """Truncated evolution of the vacuum, exp(i H t)|0>, constrained rules.
+                  geom: GeometrySpec, table: CommutationTable) -> StateVector:
+    """Truncated evolution of the vacuum, exp(i H t)|0>.
 
-    Under the constraints the annihilation part of the exponent acts as
-    the identity on the vacuum and the creation part carries weight
-    i t conj(w) per momentum pair, w the Hamiltonian weight.
+    The vacuum obeys the constrained rules (J+ lambda1 = J- lambda2 = 0),
+    so the annihilation part of the exponent acts as the identity on it and
+    the creation part carries weight i t conj(w) per momentum pair, w the
+    Hamiltonian weight.
     """
-    if not rules.constrained:
-        raise ValueError("evolve_vacuum requires constrained vacuum rules")
     pairs: dict = {}
     for i, j, w in hamiltonian_terms(params, geom, table, t):
         z = 1j * t * w.conjugate()
@@ -184,7 +170,8 @@ def evolve_vacuum(t: float, order: int, params: FieldParams,
 
 
 def overlap_phases(t: float, params: FieldParams, geom: GeometrySpec,
-                   table: CommutationTable, rules: VacuumRules) -> PhasePair:
+                   table: CommutationTable,
+                   rules: VacuumRules) -> tuple[float, float]:
     """Phases (alpha, beta) of <0|0(t)> = e^{i alpha} e^{j beta}.
 
     alpha = t Re W and beta = -t Im W with
@@ -197,27 +184,25 @@ def overlap_phases(t: float, params: FieldParams, geom: GeometrySpec,
     if a != 0 or b != 0:
         for _i, _j, w in hamiltonian_terms(params, geom, table, t):
             w_sum += w * a + (w * b).conjugate()
-    return PhasePair(t * w_sum.real, -t * w_sum.imag)
+    return t * w_sum.real, -t * w_sum.imag
 
 
 def overlap_with_vacuum(t: float, params: FieldParams, geom: GeometrySpec,
                         table: CommutationTable,
                         rules: VacuumRules) -> Bicomplex:
     """<0|0(t)> as a bicomplex phase; identically 1 under constrained rules."""
-    ph = overlap_phases(t, params, geom, table, rules)
-    return exp_bicomplex(ph.alpha, ph.beta)
+    return exp_bicomplex(*overlap_phases(t, params, geom, table, rules))
 
 
 def norm_preservation(t: float, order: int, params: FieldParams,
-                      geom: GeometrySpec, table: CommutationTable,
-                      rules: VacuumRules) -> float:
+                      geom: GeometrySpec, table: CommutationTable) -> float:
     """Deviation of <0(t)|0(t)> from 1 on the truncated state.
 
     In the ring pairing the excited amplitudes are zero divisors
     (conj(J+ c) J+ c = 0), so the deviation vanishes identically at every
     truncation order; the returned float records the numerical residue.
     """
-    return norm_deviation(evolve_vacuum(t, order, params, geom, table, rules))
+    return norm_deviation(evolve_vacuum(t, order, params, geom, table))
 
 
 def norm_deviation(state: StateVector) -> float:
@@ -321,7 +306,8 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
     idempotent sector and the larger count of singular values above
     1e-10 times the sector's largest is returned.  The cutoff is relative
     so that round-off on large amplitudes is not counted; singular values
-    do not depend on the row or column order.
+    do not depend on the row or column order.  Raises DomainError when a
+    sector's largest singular value is not finite (the norm overflows).
     """
     li: dict = {}
     ri: dict = {}
@@ -344,5 +330,8 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
             # LAPACK is quicker on tall matrices; M and M^T share singular values
             sv = np.linalg.svd(mat.T if len(li) < len(ri) else mat,
                                compute_uv=False)
+            if not math.isfinite(sv[0]):
+                raise DomainError(f"Schmidt rank of a state whose norm "
+                                  f"overflows: largest singular value {sv[0]}")
             rank = max(rank, int((sv > 1e-10 * sv[0]).sum()))
     return rank

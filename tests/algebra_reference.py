@@ -5,10 +5,13 @@ polynomials, a polynomial's scalar part, and the property that every
 annihilation operator commutes with every creator.  Also the ring-object
 routes of the state expansion and the inner product, which the package
 replaced by closed forms, and the ring property suite in Fraction
-arithmetic, which the package runs on integers.  The package computes none
-of these in production; the tests compare its results against them.
+arithmetic, which the package runs on integers.  Last, the ring element
+built from its two idempotent sectors and the ring exponential through
+them, the oracle for ring.exp_bicomplex.  The package computes none of
+these in production; the tests compare its results against them.
 """
 
+import cmath
 import math
 import operator
 import random
@@ -157,3 +160,20 @@ def ring_property_suite_fraction(n_checks: int = 10_000, seed: int = 7,
               pr == ar * br - ai * bi and pi == ar * bi + ai * br
               and mr == amr * bmr - ami * bmi and mi == amr * bmi + ami * bmr)
     return {"checks": checks, "failures": failures}
+
+
+def from_sectors(plus, minus) -> Bicomplex:
+    """The element J+ * plus + J- * minus, from two complex sectors."""
+    plus = complex(plus)
+    minus = complex(minus)
+    return Bicomplex(
+        (plus.real + minus.real) / 2.0,
+        (plus.imag + minus.imag) / 2.0,
+        (plus.real - minus.real) / 2.0,
+        (plus.imag - minus.imag) / 2.0,
+    )
+
+
+def exp_ring(a: Bicomplex) -> Bicomplex:
+    """Exponential of a general ring element via the idempotent split."""
+    return from_sectors(cmath.exp(a.plus()), cmath.exp(a.minus()))

@@ -6,6 +6,7 @@ its report line.  The guard tests check that every report is derived from
 its check records, and that seeded defects fail through them.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -63,6 +64,23 @@ def test_perturbed_h_gamma_fails_criterion_6(monkeypatch):
     _assert_derived(report)
     assert not report["passed"]
     assert "FAILED worst relative deviation" in report["detail"]
+
+
+def test_inexact_gamma_fails_criterion_2(monkeypatch):
+    # Gamma one ulp off -/+ gamma/2: too small for the residual to see, but
+    # the criterion compares it with -/+ gamma/2 written out on its own
+    make_mode = vf.make_mode
+
+    def seeded(*args):
+        mode = make_mode(*args)
+        return dataclasses.replace(mode,
+                                   Gamma=math.nextafter(mode.Gamma, math.inf))
+    monkeypatch.setattr(vf, "make_mode", seeded)
+    report = vf.criterion_2_dispersion_eom()
+    _assert_derived(report)
+    assert not report["passed"]
+    assert "FAILED modes with inexact Gamma" in report["detail"]
+    assert "FAILED worst relative residual" not in report["detail"]
 
 
 def test_sigma_table_fails_criterion_3_through_its_checks():

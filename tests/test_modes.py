@@ -5,8 +5,8 @@ import random
 import pytest
 
 from hyperfield.errors import ImaginaryFrequency
-from hyperfield.modes import (FieldParams, dissipative_coefficients,
-                              eom_residual, field_value, make_mode, omega)
+from hyperfield.modes import (FieldParams, eom_residual, field_value,
+                              make_mode, omega)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
 
@@ -20,6 +20,13 @@ class TestFieldParams:
             FieldParams(m=-1.0)
 
 
+def sector_dampings(gamma: float) -> tuple[float, float]:
+    """Gamma of a plus-sector and of a minus-sector mode."""
+    p, one = FieldParams(m=1.0, gamma=gamma), Bicomplex.one()
+    return (make_mode("plus", 0.3, p, one, one).Gamma,
+            make_mode("minus", 0.3, p, one, one).Gamma)
+
+
 class TestDissipativeCoefficients:
     @pytest.mark.parametrize("gamma,expected", [
         (0.0, (0.0, 0.0)),
@@ -27,10 +34,10 @@ class TestDissipativeCoefficients:
         (0.5, (-0.25, 0.25)),
     ])
     def test_values(self, gamma, expected):
-        assert dissipative_coefficients(FieldParams(m=1.0, gamma=gamma)) == expected
+        assert sector_dampings(gamma) == expected
 
     def test_reciprocal_damping(self):
-        g1, g2 = dissipative_coefficients(FieldParams(m=1.0, gamma=1.7))
+        g1, g2 = sector_dampings(1.7)
         assert g1 == -g2
         for t in (0.5, 3.0, 10.0):
             assert abs(math.exp(g1 * t) * math.exp(g2 * t) - 1.0) < 1e-14
