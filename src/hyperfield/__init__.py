@@ -8,8 +8,7 @@ from .ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS, J_UNIT, ONE,
 from .modes import (FieldParams, ModeSolution, eom_residual, field_value,
                     make_mode, omega)
 from .operators import (CommutationTable, ModeOp, OperatorPoly, VacuumRules,
-                        anticommutator, commutator, generic_table,
-                        normal_order, vev)
+                        commutator, generic_table, normal_order, vev)
 from .commutators import (CommutatorResult, QuadratureSpec, bessel_k,
                           commutator_omega_omegadagger,
                           commutator_omega_pi_closed,

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UndeterminedByAxioms
-from .ring import Bicomplex, J_MINUS, J_PLUS
+from .ring import Bicomplex, J_MINUS, J_PLUS, ONE
 
 _RANK = {"a1": 0, "b1": 1, "a2": 2, "b2": 3}
 _A_FAMILY = {"a1", "a2"}
@@ -26,9 +27,12 @@ _A_FAMILY = {"a1", "a2"}
 _RHO_INDEX = {("a1", "b1"): 0, ("a1", "b2"): 1, ("a2", "b1"): 2, ("a2", "b2"): 3}
 
 
-@dataclass(frozen=True)
-class ModeOp:
-    """Single ladder operator: species, lattice momentum index, dagger flag."""
+class ModeOp(NamedTuple):
+    """Single ladder operator: species, lattice momentum index, dagger flag.
+
+    A tuple: it compares equal to (species, index, dagger) and hashes as
+    that tuple does, so dict lookups keyed by words hash in C.
+    """
 
     species: str
     index: int
@@ -45,11 +49,9 @@ class ModeOp:
         return f"{self.species}{'+' if self.dagger else ''}({self.index})"
 
 
-def _as_rho(value):
-    if callable(value):
-        return value
-    b = value if isinstance(value, Bicomplex) else Bicomplex.from_complex(value)
-    return lambda k, kp, _b=b: _b
+def _entry_at(entry, k: float, kprime: float) -> Bicomplex:
+    """A table entry at (k, k'): a callable's value, else the constant."""
+    return entry(k, kprime) if callable(entry) else Bicomplex.from_complex(entry)
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,10 @@ class CommutationTable:
         return 1.0 / self.delta_k if i == j else 0.0
 
     def rho_at(self, m: int, k: float, kprime: float) -> Bicomplex:
-        return _as_rho(self.rho[m])(k, kprime)
+        return _entry_at(self.rho[m], k, kprime)
 
     def sigma_at(self, m: int, k: float, kprime: float) -> Bicomplex:
-        return _as_rho(self.sigma[m])(k, kprime)
+        return _entry_at(self.sigma[m], k, kprime)
 
 
 def generic_table(**kw) -> CommutationTable:
@@ -225,23 +227,25 @@ class OperatorPoly:
         return f"OperatorPoly({' + '.join(bits)}{more})"
 
 
-def anticommutator(op1: ModeOp, op2: ModeOp) -> OperatorPoly:
-    """{op1, op2} = op1 op2 + op2 op1 as an operator polynomial."""
-    out = OperatorPoly.from_word((op1, op2))
-    return out + OperatorPoly.from_word((op2, op1))
-
-
 def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
               dagger: bool = False) -> OperatorPoly:
     """Weighted anticommutator coeff {s1(k), s2(k')}, both daggered or not.
 
     species_pair is a tuple like ("a1", "b1"); coeff is a ring element,
-    such as J_PLUS or J_MINUS times a Hamiltonian weight.
+    such as J_PLUS or J_MINUS times a Hamiltonian weight.  The words
+    s1 s2 and s2 s1 each carry coeff * 1; the same op given twice makes
+    one word with coeff * 2.
     """
     s1, s2 = species_pair
     o1 = ModeOp(s1, k_index, dagger)
     o2 = ModeOp(s2, kp_index, dagger)
-    return anticommutator(o1, o2).scale(coeff)
+    c = Bicomplex.from_complex(coeff)
+    if c.is_zero():
+        return OperatorPoly.zero()
+    if o1 == o2:
+        return OperatorPoly({(o1, o2): c * Bicomplex(2.0)})
+    one = c * ONE
+    return OperatorPoly({(o1, o2): one, (o2, o1): one})
 
 
 def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
@@ -252,16 +256,21 @@ def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
     """
     out: dict = {}
     result = OperatorPoly(out)
+    keys: dict = {}     # each op's sort key, computed once per call
     stack = list(poly.terms.items())
     while stack:
         word, coeff = stack.pop()
         if coeff.is_zero():
             continue
         swap_at = -1
-        for i in range(len(word) - 1):
-            if word[i].sort_key() > word[i + 1].sort_key():
-                swap_at = i
+        for i, op in enumerate(word):
+            key = keys.get(op)
+            if key is None:
+                key = keys[op] = op.sort_key()
+            if i and prev > key:
+                swap_at = i - 1
                 break
+            prev = key
         if swap_at < 0:
             result._merged(word, coeff, out)
             continue
@@ -312,8 +321,8 @@ _PLUS_ANN = frozenset({"a1", "b1"})
 _MINUS_ANN = frozenset({"b2", "a2"})
 
 
-def _ket_word_value(word, species_pair, eigen: complex, sector: int,
-                    table: CommutationTable) -> complex:
+def _collapse(w: tuple, eigen: complex, plus: bool,
+              table: CommutationTable) -> complex:
     """Value of an annihilation-family word acting on the vacuum ket.
 
     The family is Heisenberg-like: a-side ops commute among themselves,
@@ -321,50 +330,36 @@ def _ket_word_value(word, species_pair, eigen: complex, sector: int,
     eigenvector of every cross anticommutator with eigenvalue ``eigen``.
     Words with equal a/b counts collapse recursively: the trailing op is
     paired with the nearest opposite-side op, which hops over the ops in
-    between at the cost of central contractions.
+    between at the cost of central contractions, taken in the J+ sector
+    when ``plus`` is set and in the J- sector otherwise.  Every other
+    word runs out of partners and raises UndeterminedByAxioms.
     """
-    side_a, side_b = tuple(species_pair)
-
-    def comm(o1: ModeOp, o2: ModeOp) -> complex:
-        c = commutator(o1, o2, table)
-        return c.plus() if sector > 0 else c.minus()
-
-    def value(w: tuple) -> complex:
-        if not w:
-            return 1.0
-        last = w[-1]
-        same = last.species
-        p = None
-        for q in range(len(w) - 2, -1, -1):
-            if w[q].species != same:
-                p = q
-                break
-        if p is None:
-            raise UndeterminedByAxioms(
-                f"unpaired operators {w}: not fixed by the vacuum axioms")
-        partner = w[p]
-        between = w[p + 1:-1]
-        head = w[:p]
-        # partner hops over `between` (all same side as `last`)
-        total = 0.5 * (eigen + comm(partner, last)) * value(head + between)
-        for i, mid in enumerate(between):
-            c = comm(partner, mid)
-            if c != 0.0:
-                total += c * value(head + between[:i] + between[i + 1:] + (last,))
-        return total
-
-    for op in word:
-        if op.species not in (side_a, side_b):
-            raise UndeterminedByAxioms(
-                f"operator {op} outside the sector's collapsible family")
-    n_a = sum(1 for op in word if op.species == side_a)
-    if 2 * n_a != len(word):
+    if not w:
+        return 1.0
+    last = w[-1]
+    for p in range(len(w) - 2, -1, -1):
+        if w[p].species != last.species:
+            break
+    else:
         raise UndeterminedByAxioms(
-            f"unbalanced word {word}: not fixed by the vacuum axioms")
-    return value(tuple(word))
+            f"unpaired operators {w}: not fixed by the vacuum axioms")
+    partner = w[p]
+    between = w[p + 1:-1]
+    head = w[:p]
+    # partner hops over `between` (all same side as `last`)
+    c = commutator(partner, last, table)
+    total = (0.5 * (eigen + (c.plus() if plus else c.minus()))
+             * _collapse(head + between, eigen, plus, table))
+    for i, mid in enumerate(between):
+        c = commutator(partner, mid, table)
+        c = c.plus() if plus else c.minus()
+        if c != 0.0:
+            total += c * _collapse(head + between[:i] + between[i + 1:]
+                                   + (last,), eigen, plus, table)
+    return total
 
 
-def _sector_vev(word, sector: int, rules: VacuumRules,
+def _sector_vev(word, plus: bool, lambdas: tuple,
                 table: CommutationTable) -> complex:
     """Vacuum expectation of a word inside one idempotent sector.
 
@@ -373,14 +368,15 @@ def _sector_vev(word, sector: int, rules: VacuumRules,
     eigenvalue) or a daggered member of the mirror family (collapses on
     the bra with the conjugate eigenvalue).  The two families commute
     exactly, so the value factorizes; the bra factor is evaluated through
-    its adjoint in the opposite sector.
+    its adjoint in the opposite sector.  lambdas holds J+ lambda1 and
+    J- lambda2, the ket eigenvalues of the J+ and J- sectors.
     """
-    if sector > 0:
-        ann_species, ket_eigen = _PLUS_ANN, rules.lambda1.plus()
-        cre_species, mirror_eigen = _MINUS_ANN, rules.lambda2.minus()
+    if plus:
+        ann_species, cre_species = _PLUS_ANN, _MINUS_ANN
+        ket_eigen, mirror_eigen = lambdas
     else:
-        ann_species, ket_eigen = _MINUS_ANN, rules.lambda2.minus()
-        cre_species, mirror_eigen = _PLUS_ANN, rules.lambda1.plus()
+        ann_species, cre_species = _MINUS_ANN, _PLUS_ANN
+        mirror_eigen, ket_eigen = lambdas
 
     ann_part = []
     cre_part = []
@@ -393,12 +389,11 @@ def _sector_vev(word, sector: int, rules: VacuumRules,
             raise UndeterminedByAxioms(
                 f"operator {op} not fixed by the vacuum axioms in this sector")
 
-    ket = _ket_word_value(tuple(ann_part), ann_species, ket_eigen, sector, table)
+    ket = _collapse(tuple(ann_part), ket_eigen, plus, table)
     # <0| W = (adjoint(W) |0>)^dagger: reverse, undagger, evaluate in the
     # mirror sector, conjugate
     adj = tuple(op.adjoint() for op in reversed(cre_part))
-    bra = _ket_word_value(adj, cre_species, mirror_eigen, -sector,
-                          table).conjugate()
+    bra = _collapse(adj, mirror_eigen, not plus, table).conjugate()
     return ket * bra
 
 
@@ -417,17 +412,23 @@ def vev(poly: OperatorPoly, rules: VacuumRules,
     UndeterminedByAxioms outside the evaluable fragment.
     """
     ordered = normal_order(poly, table)
-    scale = ordered.max_norm()
-    total = Bicomplex.zero()
-    for word, coeff in ordered.terms.items():
-        if coeff.norm() <= 1e-14 * scale:
+    norms = [coeff.norm() for coeff in ordered.terms.values()]
+    scale = max(norms, default=0.0)    # the value of ordered.max_norm()
+    lambdas = (rules.lambda1.plus(), rules.lambda2.minus())
+    sx = sy = su = sv = 0.0
+    for (word, coeff), norm in zip(ordered.terms.items(), norms):
+        if norm <= 1e-14 * scale:
             continue  # rounding residue of cancelling sector products
-        cp, cm = coeff.plus(), coeff.minus()
-        if cp != 0:
-            total = total + J_PLUS * Bicomplex.from_complex(
-                cp * _sector_vev(word, +1, rules, table))
-        if cm != 0:
-            total = total + J_MINUS * Bicomplex.from_complex(
-                cm * _sector_vev(word, -1, rules, table))
-    return total
-
+        for plus, cs, j in ((True, coeff.plus(), J_PLUS),
+                            (False, coeff.minus(), J_MINUS)):
+            if cs != 0:
+                z = cs * _sector_vev(word, plus, lambdas, table)
+                # adds j * Bicomplex.from_complex(z) with the grouping of
+                # Bicomplex.__mul__, whose g and h are z's zero j-parts
+                a, b, c, d = j.x, j.y, j.u, j.v
+                e, f, g = z.real, z.imag, 0.0
+                sx += (a * e + c * g) - (b * f + d * g)
+                sy += (a * f + c * g) + (b * e + d * g)
+                su += (a * g + c * e) - (b * g + d * f)
+                sv += (a * g + c * f) + (b * g + d * e)
+    return Bicomplex(sx, sy, su, sv)

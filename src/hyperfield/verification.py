@@ -287,7 +287,7 @@ def criterion_5_limits(table: CommutationTable | None = None) -> dict:
 
 def criterion_6_factor_five() -> dict:
     rng = random.Random(13)
-    worst = 0.0
+    worst = worst_eta = 0.0
     for _ in range(1000):
         m = rng.uniform(0.05, 3.0)
         gamma = rng.uniform(0.0, 1.9 * m)
@@ -296,9 +296,15 @@ def criterion_6_factor_five() -> dict:
         w = omega(k, p)
         hg = h_gamma(k, k, p)
         worst = max(worst, abs(hg.real - 2.5 * w * w) / max(abs(hg.real), 1e-30))
+        # the asymptotic kernel against its closed form, from omega alone
+        eta = (2.5 * w ** 3 - 1j * gamma * w * w) / abs(k)
+        worst_eta = max(worst_eta, abs(st.eta_k(k, p) - eta) / abs(eta))
     return _report(6, "diagonal Hamiltonian weight has real part (5/2) w^2",
-                   "<= 1e-12 relative over 1000 random samples",
-                   [("worst relative deviation", worst, 1e-12, "<=")])
+                   "<= 1e-12 relative over 1000 random samples, for the "
+                   "real part and for eta_k = (5/2) w^3/|k| - i gamma w^2/|k|",
+                   [("worst relative deviation", worst, 1e-12, "<="),
+                    ("worst eta_k relative deviation", worst_eta, 1e-12,
+                     "<=")])
 
 
 # -- 7: v.e.v. cancellation ---------------------------------------------------

@@ -12,7 +12,10 @@ import math
 import pytest
 
 from hyperfield import commutators as fc
+from hyperfield import states
 from hyperfield import verification as vf
+from hyperfield.modes import omega
+from hyperfield.observables import h_gamma
 from hyperfield.operators import CommutationTable
 from hyperfield.ring import Bicomplex
 
@@ -64,6 +67,17 @@ def test_perturbed_h_gamma_fails_criterion_6(monkeypatch):
     _assert_derived(report)
     assert not report["passed"]
     assert "FAILED worst relative deviation" in report["detail"]
+
+
+def test_tripled_unconjugated_eta_k_fails_criterion_6(monkeypatch):
+    def seeded(k, params):
+        return 3.0 * (omega(k, params) / abs(k)) * h_gamma(k, k, params)
+    monkeypatch.setattr(states, "eta_k", seeded)
+    report = vf.criterion_6_factor_five()
+    _assert_derived(report)
+    assert not report["passed"]
+    assert "FAILED worst eta_k relative deviation" in report["detail"]
+    assert "FAILED worst relative deviation" not in report["detail"]
 
 
 def test_inexact_gamma_fails_criterion_2(monkeypatch):

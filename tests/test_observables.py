@@ -229,14 +229,14 @@ class TestVevObservables:
     def test_term_by_term_cancellation(self, table):
         # every single-momentum integrand (pair plus its conjugate) has a
         # vanishing vev on its own under the constraints
-        from hyperfield.operators import ModeOp, anticommutator
+        from hyperfield.operators import pair_poly
         p = FieldParams(m=1.0, gamma=0.5)
         rules = VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j)
         i = table.momentum_indices()[3]
         k = table.momentum(i)
         c = Bicomplex.from_complex(h_gamma(k, k, p))
-        term = (anticommutator(ModeOp("a1", i), ModeOp("b1", i)).scale(J_PLUS * c)
-                + anticommutator(ModeOp("b2", i), ModeOp("a2", i)).scale(J_MINUS * c))
+        term = (pair_poly(("a1", "b1"), i, i, J_PLUS * c)
+                + pair_poly(("b2", "a2"), i, i, J_MINUS * c))
         term = term + term.adjoint()
         assert vev(term, rules, table).norm() <= 1e-14 * c.norm()
 

@@ -4,14 +4,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperfield import operators
 from hyperfield.errors import UndeterminedByAxioms
+from hyperfield.modes import FieldParams
+from hyperfield.observables import GeometrySpec, hamiltonian_poly
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
-                                  VacuumRules, anticommutator, commutator,
-                                  generic_table, normal_order, pair_poly, vev)
+                                  VacuumRules, commutator, generic_table,
+                                  normal_order, pair_poly, vev)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
-from algebra_reference import (commutator_with, pair_commutation_check,
-                               polys_equal, small_tables)
+from algebra_reference import (anticommutator, commutator_with,
+                               pair_commutation_check, polys_equal,
+                               small_tables)
 
 
 @pytest.fixture
@@ -113,6 +117,8 @@ class TestAnticommutator:
     def test_same_operator(self, table):
         ac = anticommutator(ModeOp("a1", 1), ModeOp("a1", 1))
         assert ac.terms[(ModeOp("a1", 1), ModeOp("a1", 1))].is_close(Bicomplex(2.0))
+        pp = pair_poly(("a1", "a1"), 1, 1, Bicomplex.one())
+        assert pp.terms == {(ModeOp("a1", 1), ModeOp("a1", 1)): Bicomplex(2.0)}
 
 
 class TestAdjoint:
@@ -265,6 +271,38 @@ class TestVev:
             v1 = vev(poly, rules, table)
             v2 = vev(normal_order(poly, table), rules, table)
             assert v1.is_close(v2, 1e-10 * max(1.0, v1.norm()))
+
+
+class TestTracedNames:
+    def test_vev_reaches_normal_order_and_commutator_as_module_attributes(
+            self, monkeypatch):
+        # perfbench/tracer.py counts both by replacing these attributes
+        calls = {"normal_order": 0, "commutator": 0, "commutator_outside": 0}
+        depth = []
+        normal_order_fn, commutator_fn = (operators.normal_order,
+                                          operators.commutator)
+
+        def counting_normal_order(*args):
+            calls["normal_order"] += 1
+            depth.append(1)
+            try:
+                return normal_order_fn(*args)
+            finally:
+                depth.pop()
+
+        def counting_commutator(*args):
+            calls["commutator"] += 1
+            calls["commutator_outside"] += not depth
+            return commutator_fn(*args)
+
+        monkeypatch.setattr(operators, "normal_order", counting_normal_order)
+        monkeypatch.setattr(operators, "commutator", counting_commutator)
+        table = CommutationTable(delta_k=0.1, N=2, stagger=True)   # 4 modes
+        h = hamiltonian_poly(FieldParams(m=1.0, gamma=0.5),
+                             GeometrySpec("finite_interval", -1.0, 1.0), table)
+        operators.vev(h, VacuumRules.generic(1.0, 0.5), table)
+        assert calls["normal_order"] >= 1
+        assert calls["commutator"] > calls["commutator_outside"] >= 1
 
 
 class TestPairCommutationCheck:
