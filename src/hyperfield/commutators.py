@@ -59,16 +59,14 @@ def bessel_k(order: int, z: float) -> float:
 
 
 def difference_bracket(table: CommutationTable) -> Bicomplex:
-    """J+ (rho1 - conj rho4) + J- (conj rho1 - rho4) at k = k' = 0."""
-    r1 = table.rho_at(0, 0.0, 0.0)
-    r4 = table.rho_at(3, 0.0, 0.0)
+    """J+ (rho1 - conj rho4) + J- (conj rho1 - rho4)."""
+    r1, r4 = table.rho[0], table.rho[3]
     return J_PLUS * (r1 - r4.conj()) + J_MINUS * (r1.conj() - r4)
 
 
 def sum_bracket(table: CommutationTable) -> Bicomplex:
-    """J+ (rho1 + conj rho4) + J- (conj rho1 + rho4) at k = k' = 0."""
-    r1 = table.rho_at(0, 0.0, 0.0)
-    r4 = table.rho_at(3, 0.0, 0.0)
+    """J+ (rho1 + conj rho4) + J- (conj rho1 + rho4)."""
+    r1, r4 = table.rho[0], table.rho[3]
     return J_PLUS * (r1 + r4.conj()) + J_MINUS * (r1.conj() + r4)
 
 

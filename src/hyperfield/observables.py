@@ -2,8 +2,8 @@
 
 The Hamiltonian couples the two sectors through projected anticommutator
 pairs weighted by h_gamma(k, k') and a geometry factor; on the infinite
-line the geometry kernel collapses to a lattice Dirac delta and the double
-momentum sum becomes diagonal.  The charge operator is anti-Hermitian and
+line the geometry kernel is a lattice Dirac delta and the double momentum
+sum becomes diagonal.  The charge operator is anti-Hermitian and
 its vacuum expectation cancels exactly under the constrained vacuum rules.
 """
 
@@ -59,40 +59,27 @@ def h_gamma(k: float, kprime: float, params: FieldParams) -> complex:
             + 0.5j * params.gamma * (wp + w) + 0.5 * params.m2_mod)
 
 
-def geometry_kernel(q: float, geom: GeometrySpec,
-                    delta_k: float | None = None) -> complex:
+def geometry_kernel(q: float, geom: GeometrySpec) -> complex:
     """Spatial integral I(q) = Integral_system e^{-i q x} dx.
 
     Finite interval: (e^{-i q L1} - e^{-i q L2}) / (i q), with I(0) equal
-    to the total length.  Infinite line: (2 pi) times the lattice delta,
-    which needs the lattice spacing delta_k.
+    to the total length.  The infinite line's 2 pi delta(q) is the
+    diagonal of hamiltonian_terms; it raises DomainError here.
     """
-    if geom.kind == FINITE_INTERVAL:
-        if q == 0.0:
-            return complex(geom.length)
-        return (cmath.exp(-1j * q * geom.L1)
-                - cmath.exp(-1j * q * geom.L2)) / (1j * q)
-    if delta_k is None:
-        raise DomainError("infinite-line kernel needs delta_k for the lattice delta")
-    return TWO_PI / delta_k if q == 0.0 else 0.0
-
-
-def _geometry_factor(k: float, kp: float, t: float, params: FieldParams,
-                     geom: GeometrySpec, table: CommutationTable) -> complex:
-    """G(k, k'; t) = e^{i (w_k - w_k') t} I(k - k')."""
-    kern = geometry_kernel(k - kp, geom, table.delta_k)
-    if kern == 0.0:
-        return 0.0
-    phase = cmath.exp(1j * (omega(k, params) - omega(kp, params)) * t)
-    return phase * kern
+    if geom.kind != FINITE_INTERVAL:
+        raise DomainError("the infinite-line kernel is a lattice delta")
+    if q == 0.0:
+        return complex(geom.length)
+    return (cmath.exp(-1j * q * geom.L1)
+            - cmath.exp(-1j * q * geom.L2)) / (1j * q)
 
 
 def hamiltonian_terms(params: FieldParams, geom: GeometrySpec,
                       table: CommutationTable, t: float = 0.0):
     """Yield (k_index, kp_index, weight) for the displayed half of H.
 
-    weight = delta_k^2 H_gamma(k, k') G(k, k'; t); for the infinite line
-    only the diagonal survives.
+    weight = delta_k^2 H_gamma(k, k') e^{i (w_k - w_k') t} I(k - k'); for
+    the infinite line only the diagonal survives.
     """
     dk = table.delta_k
     idx = table.momentum_indices()
@@ -101,11 +88,12 @@ def hamiltonian_terms(params: FieldParams, geom: GeometrySpec,
             k = table.momentum(i)
             yield i, i, dk * dk * h_gamma(k, k, params) * (TWO_PI / dk)
         return
-    for i in idx:
-        k = table.momentum(i)
-        for j in idx:
-            kp = table.momentum(j)
-            g = _geometry_factor(k, kp, t, params, geom, table)
+    ks = [table.momentum(i) for i in idx]
+    modes = list(zip(idx, ks, [omega(k, params) for k in ks]))
+    for i, k, w in modes:
+        for j, kp, wp in modes:
+            kern = geometry_kernel(k - kp, geom)
+            g = cmath.exp(1j * (w - wp) * t) * kern if kern != 0.0 else 0.0
             if g != 0.0:
                 yield i, j, dk * dk * h_gamma(k, kp, params) * g
 

@@ -49,19 +49,14 @@ class ModeOp(NamedTuple):
         return f"{self.species}{'+' if self.dagger else ''}({self.index})"
 
 
-def _entry_at(entry, k: float, kprime: float) -> Bicomplex:
-    """A table entry at (k, k'): a callable's value, else the constant."""
-    return entry(k, kprime) if callable(entry) else Bicomplex.from_complex(entry)
-
-
 @dataclass(frozen=True)
 class CommutationTable:
-    """The four rho coefficients plus the lattice discretization.
+    """The four rho and four sigma Bicomplex constants plus the lattice.
 
-    rho entries may be Bicomplex constants or callables rho(k, k') ->
-    Bicomplex.  sigma entries default to zero, the choice that keeps
-    damping factors out of the equal-time commutators; nonzero sigmas are
-    supported only so tests can exhibit the breakage they cause.
+    Any other entry raises TypeError.  sigma entries default to zero, the
+    choice that keeps damping factors out of the equal-time commutators;
+    nonzero sigmas are supported only so tests can exhibit the breakage
+    they cause.
     """
 
     rho: tuple = (Bicomplex.one(), Bicomplex.zero(),
@@ -70,6 +65,11 @@ class CommutationTable:
     delta_k: float = 0.1
     N: int = 32
     stagger: bool = False
+
+    def __post_init__(self):
+        for entry in (*self.rho, *self.sigma):
+            if not isinstance(entry, Bicomplex):
+                raise TypeError(f"table entries must be Bicomplex, got {entry!r}")
 
     def momentum_indices(self) -> list[int]:
         if self.stagger:
@@ -84,16 +84,6 @@ class CommutationTable:
         """Index of momentum -momentum(index); exact on both lattices."""
         return -index - 1 if self.stagger else -index
 
-    def lattice_delta(self, i: int, j: int) -> float:
-        """Dirac delta realization: Kronecker / delta_k."""
-        return 1.0 / self.delta_k if i == j else 0.0
-
-    def rho_at(self, m: int, k: float, kprime: float) -> Bicomplex:
-        return _entry_at(self.rho[m], k, kprime)
-
-    def sigma_at(self, m: int, k: float, kprime: float) -> Bicomplex:
-        return _entry_at(self.sigma[m], k, kprime)
-
 
 def generic_table(**kw) -> CommutationTable:
     """Table with rho1 = 1, rho4 = 0: keeps the difference bracket nonzero."""
@@ -103,42 +93,30 @@ def generic_table(**kw) -> CommutationTable:
 
 
 def commutator(op1: ModeOp, op2: ModeOp, table: CommutationTable) -> Bicomplex:
-    """Central ring value of [op1, op2] under the commutation table."""
+    """Central ring value of [op1, op2]; each delta is Kronecker / delta_k
+    on the indices: equal for rho, mirrored (opposite momenta) for sigma."""
     fam1 = op1.species in _A_FAMILY
-    fam2 = op2.species in _A_FAMILY
-    if fam1 == fam2:
+    if fam1 == (op2.species in _A_FAMILY):
         return Bicomplex.zero()  # same family: a-a or b-b in any dagger combo
 
     a_op, b_op = (op1, op2) if fam1 else (op2, op1)
     sign = 1.0 if fam1 else -1.0
     m = _RHO_INDEX[(a_op.species, b_op.species)]
-    ka = table.momentum(a_op.index)
-    kb = table.momentum(b_op.index)
-
-    if op1.dagger != op2.dagger:
-        # sigma sector, delta(k + k') support
-        if ka != -kb:
+    if op1.dagger == op2.dagger:
+        # rho sector, delta(k - k') support; the table row
+        # [b+(k'), a+(k)] = conj(rho) delta gives [a+, b+] = -conj(rho) delta
+        if a_op.index != b_op.index:
             return Bicomplex.zero()
-        delta = 1.0 / table.delta_k
-        sig = table.sigma_at(m, ka, kb)
-        if sig.is_zero():
+        value, flip = table.rho[m], op1.dagger
+    else:
+        # sigma sector, delta(k + k') support; [a, b+] = sigma delta and
+        # [b, a+] = conj(sigma) delta give [a+, b] = -conj(sigma) delta
+        value, flip = table.sigma[m], a_op.dagger
+        if b_op.index != table.mirror_index(a_op.index) or value.is_zero():
             return Bicomplex.zero()
-        # [a, b+] = sigma delta; [b, a+] = conj(sigma) delta
-        if a_op.dagger:          # pair is (a+, b) in some order
-            value = sig.conj()
-            sign = -sign         # table fixes [b, a+]; we hold [a+, b] = -that
-        else:                    # pair is (a, b+)
-            value = sig
-        return (sign * delta) * value
-
-    delta = table.lattice_delta(a_op.index, b_op.index)
-    if delta == 0.0:
-        return Bicomplex.zero()
-    rho = table.rho_at(m, ka, kb)
-    if op1.dagger:
-        # table row: [b+(k'), a+(k)] = conj(rho) delta  =>  [a+, b+] = -conj(rho) delta
-        return (-sign * delta) * rho.conj()
-    return (sign * delta) * rho
+    if flip:
+        value, sign = value.conj(), -sign
+    return (sign * (1.0 / table.delta_k)) * value
 
 
 class OperatorPoly:

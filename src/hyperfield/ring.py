@@ -115,8 +115,11 @@ class Bicomplex:
 
     def norm(self) -> float:
         """Euclidean norm of the four components (not the ring modulus)."""
-        return math.sqrt(float(self.x) ** 2 + float(self.y) ** 2
-                         + float(self.u) ** 2 + float(self.v) ** 2)
+        try:
+            return math.sqrt(float(self.x) ** 2 + float(self.y) ** 2
+                             + float(self.u) ** 2 + float(self.v) ** 2)
+        except OverflowError:  # hypot only where a square overflows, so
+            return math.hypot(*map(float, self.to_tuple()))  # bits stay put
 
     def is_close(self, other: "Bicomplex", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol

@@ -347,6 +347,18 @@ def _states_lattice(table: CommutationTable | None,
 
 # -- 8: unitarity / alignment -------------------------------------------------
 
+def _pair_sums(name: str, state: st.StateVector, z: list) -> tuple:
+    """Check that per sector the n-pair amplitudes sum to (sum z)^n / n!
+    to 1e-12 of (sum |z|)^n / n!, z the label weights (two per pair)."""
+    s, a = 2.0 * sum(z), 2.0 * sum(map(abs, z))
+    return (f"{name} n-pair amplitude sums", max(abs(math.factorial(n) * sum(
+        part(amp) for key, amp in state.amplitudes.items()
+        if len(key) == n and key[0][0] == tag) - s ** n) / a ** n
+        for tag, part in ((st.TAG_MIRROR, Bicomplex.plus),
+                          (st.TAG_SYSTEM, Bicomplex.minus))
+        for n in range(1, state.truncation_order + 1)), 1e-12, "<=")
+
+
 def criterion_8_alignment(table: CommutationTable | None = None) -> dict:
     table = _states_lattice(table)
     p = FieldParams(m=1.0, gamma=0.5)
@@ -358,11 +370,20 @@ def criterion_8_alignment(table: CommutationTable | None = None) -> dict:
               for t in (0.1, 1.0, 10.0, 100.0)]
     # exponent scale: sum of per-pair weights at t chosen so t * scale <= 0.1
     scale = sum(abs(w) for _i, _j, w in hamiltonian_terms(p, geom, table))
-    dev = norm_preservation(0.1 / scale, 4, p, geom, table)
+    t = 0.1 / scale
+    dev = norm_preservation(t, 4, p, geom, table)
     checks.append(("norm deviation at order 4", dev, 1e-4, "<="))
+    # pair weights written out here: i t conj(w), and L dk eta_k from omega
+    checks.append(_pair_sums("evolve_vacuum", evolve_vacuum(t, 2, p, geom, table), [
+        1j * t * w.conjugate() for *_, w in hamiltonian_terms(p, geom, table, t)]))
+    ws = [(k, omega(k, p)) for k in map(table.momentum, table.momentum_indices())]
+    checks.append(_pair_sums("asymptotic_state_finite", asymptotic_state_finite(
+        2, p, -1.0, 2.0, table), [3.0 * table.delta_k * (
+            2.5 * w ** 3 - 1j * p.gamma * w * w) / abs(k) for k, w in ws]))
     return _report(8, "evolved vacuum stays aligned and normalized",
                    "overlap == 1 exact for t <= 100; truncated norm deviation "
-                   "<= 1e-4 at order 4, t*scale <= 0.1", checks)
+                   "<= 1e-4 at order 4, t*scale <= 0.1; n-pair sums to 1e-12",
+                   checks)
 
 
 # -- 9: entanglement witness --------------------------------------------------

@@ -7,7 +7,10 @@ the package replaced by faster ones with the same bits: the Hamiltonian
 and charge assembled from anticommutator(...).scale(...) parts, normal
 ordering that computes sort keys per comparison, and the vacuum
 functional that collapses words through per-call closures and sums ring
-objects.  Also the ring-object
+objects; the commutator that decides its lattice-delta support on momenta
+rather than indices, and the Hamiltonian weights built through a geometry
+factor that evaluates omega four times per momentum pair.  Also the
+ring-object
 routes of the state expansion and the inner product, which the package
 replaced by closed forms, and the ring property suite in Fraction
 arithmetic, which the package runs on integers.  Last, the ring element
@@ -27,9 +30,12 @@ from hypothesis import strategies as st
 
 from hyperfield.errors import UndeterminedByAxioms
 from hyperfield.modes import omega
-from hyperfield.observables import _merge_all, hamiltonian_terms
-from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
-                                  commutator, normal_order)
+from hyperfield.observables import (INFINITE_LINE, TWO_PI, _merge_all,
+                                    geometry_kernel, h_gamma,
+                                    hamiltonian_terms)
+from hyperfield.operators import (_A_FAMILY, _RHO_INDEX, CommutationTable,
+                                  ModeOp, OperatorPoly, commutator,
+                                  normal_order)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS, idempotents_exact
 from hyperfield.states import TAG_MIRROR, TAG_SYSTEM
 
@@ -347,3 +353,76 @@ def vev_reference(poly: OperatorPoly, rules, table: CommutationTable) -> Bicompl
             total = total + J_MINUS * Bicomplex.from_complex(
                 cm * _sector_vev(word, -1, rules, table))
     return total
+
+
+def lattice_delta(table: CommutationTable, i: int, j: int) -> float:
+    """Dirac delta realization: Kronecker / delta_k."""
+    return 1.0 / table.delta_k if i == j else 0.0
+
+
+def commutator_reference(op1: ModeOp, op2: ModeOp,
+                         table: CommutationTable) -> Bicomplex:
+    """operators.commutator with its support decided on momenta."""
+    fam1 = op1.species in _A_FAMILY
+    fam2 = op2.species in _A_FAMILY
+    if fam1 == fam2:
+        return Bicomplex.zero()  # same family: a-a or b-b in any dagger combo
+
+    a_op, b_op = (op1, op2) if fam1 else (op2, op1)
+    sign = 1.0 if fam1 else -1.0
+    m = _RHO_INDEX[(a_op.species, b_op.species)]
+    ka = table.momentum(a_op.index)
+    kb = table.momentum(b_op.index)
+
+    if op1.dagger != op2.dagger:
+        # sigma sector, delta(k + k') support
+        if ka != -kb:
+            return Bicomplex.zero()
+        delta = 1.0 / table.delta_k
+        sig = table.sigma[m]
+        if sig.is_zero():
+            return Bicomplex.zero()
+        # [a, b+] = sigma delta; [b, a+] = conj(sigma) delta
+        if a_op.dagger:          # pair is (a+, b) in some order
+            value = sig.conj()
+            sign = -sign         # table fixes [b, a+]; we hold [a+, b] = -that
+        else:                    # pair is (a, b+)
+            value = sig
+        return (sign * delta) * value
+
+    delta = lattice_delta(table, a_op.index, b_op.index)
+    if delta == 0.0:
+        return Bicomplex.zero()
+    rho = table.rho[m]
+    if op1.dagger:
+        # table row: [b+(k'), a+(k)] = conj(rho) delta  =>  [a+, b+] = -conj(rho) delta
+        return (-sign * delta) * rho.conj()
+    return (sign * delta) * rho
+
+
+def geometry_factor(k: float, kp: float, t: float, params, geom) -> complex:
+    """G(k, k'; t) = e^{i (w_k - w_k') t} I(k - k'), on a finite interval."""
+    kern = geometry_kernel(k - kp, geom)
+    if kern == 0.0:
+        return 0.0
+    phase = cmath.exp(1j * (omega(k, params) - omega(kp, params)) * t)
+    return phase * kern
+
+
+def hamiltonian_terms_reference(params, geom, table: CommutationTable,
+                                t: float = 0.0):
+    """observables.hamiltonian_terms through geometry_factor."""
+    dk = table.delta_k
+    idx = table.momentum_indices()
+    if geom.kind == INFINITE_LINE:
+        for i in idx:
+            k = table.momentum(i)
+            yield i, i, dk * dk * h_gamma(k, k, params) * (TWO_PI / dk)
+        return
+    for i in idx:
+        k = table.momentum(i)
+        for j in idx:
+            kp = table.momentum(j)
+            g = geometry_factor(k, kp, t, params, geom)
+            if g != 0.0:
+                yield i, j, dk * dk * h_gamma(k, kp, params) * g

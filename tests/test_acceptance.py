@@ -80,6 +80,58 @@ def test_tripled_unconjugated_eta_k_fails_criterion_6(monkeypatch):
     assert "FAILED worst relative deviation" not in report["detail"]
 
 
+def _seeded_expansion(monkeypatch, rewrite):
+    """states._expand_exponential with each amplitude rewritten."""
+    expand = states._expand_exponential
+
+    def seeded(pairs, order):
+        state = expand(pairs, order)
+        for key, amp in state.amplitudes.items():
+            state.amplitudes[key] = rewrite(key, amp)
+        return state
+    monkeypatch.setattr(states, "_expand_exponential", seeded)
+
+
+def _unconjugated_double_weight(monkeypatch):
+    def seeded(t, order, params, geom, table):
+        pairs = {(i, j): 2j * t * w for i, j, w
+                 in states.hamiltonian_terms(params, geom, table, t)}
+        return states._expand_exponential(pairs, order)
+    monkeypatch.setattr(vf, "evolve_vacuum", seeded)
+
+
+def _without_multiplicity(monkeypatch):
+    _seeded_expansion(monkeypatch, lambda key, amp: amp * Bicomplex(float(
+        math.prod(math.factorial(key.count(p)) for p in set(key)))))
+
+
+def _swapped_sectors(monkeypatch):
+    _seeded_expansion(monkeypatch,
+                      lambda key, amp: Bicomplex(amp.x, amp.y, -amp.u, -amp.v))
+
+
+def _tripled_unconjugated_eta_k(monkeypatch):
+    monkeypatch.setattr(states, "eta_k", lambda k, params: 3.0 * (
+        omega(k, params) / abs(k)) * h_gamma(k, k, params))
+
+
+@pytest.mark.parametrize("seed_defect, failing", [
+    (_unconjugated_double_weight, ["evolve_vacuum"]),
+    (_without_multiplicity, ["evolve_vacuum", "asymptotic_state_finite"]),
+    (_swapped_sectors, ["evolve_vacuum", "asymptotic_state_finite"]),
+    (_tripled_unconjugated_eta_k, ["asymptotic_state_finite"])],
+    ids=["pair_weight_2j_t_w", "no_division_by_mult", "swapped_sectors",
+         "tripled_unconjugated_eta_k"])
+def test_state_defect_fails_criterion_8(monkeypatch, seed_defect, failing):
+    seed_defect(monkeypatch)
+    report = vf.criterion_8_alignment()
+    _assert_derived(report)
+    assert not report["passed"]
+    for name in ("evolve_vacuum", "asymptotic_state_finite"):
+        assert ((f"FAILED {name} n-pair amplitude sums" in report["detail"])
+                == (name in failing))
+
+
 def test_inexact_gamma_fails_criterion_2(monkeypatch):
     # Gamma one ulp off -/+ gamma/2: too small for the residual to see, but
     # the criterion compares it with -/+ gamma/2 written out on its own

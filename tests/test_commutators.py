@@ -156,16 +156,12 @@ SIGMA = (Bicomplex(0.3, 0.1, -0.2, 0.05),) * 4
 def oracle_tables(rho_table):
     """Small tables covering every commutation rule the contraction uses."""
     rho = rho_table.rho
-    callable_rho = (lambda k, kp: Bicomplex(1.0 + k * k, 0.1 * k, 0.0, 0.0),
-                    Bicomplex.zero(), Bicomplex.zero(),
-                    lambda k, kp: Bicomplex(0.3, 0.0, 0.1 * k, 0.0))
     return {
         "generic": generic_table(delta_k=0.3, N=4),
         "rho": rho_table,
         "sigma": CommutationTable(rho=rho, sigma=SIGMA, delta_k=0.25, N=4),
         "sigma_staggered": CommutationTable(rho=rho, sigma=SIGMA, delta_k=0.25,
                                             N=4, stagger=True),
-        "callable_rho": CommutationTable(rho=callable_rho, delta_k=0.25, N=4),
     }
 
 
@@ -182,7 +178,7 @@ def normal_ordered_commutator(which, x, xp, t, p, table, weighted):
 
 class TestLatticeContraction:
     @pytest.mark.parametrize("name", ["generic", "rho", "sigma",
-                                      "sigma_staggered", "callable_rho"])
+                                      "sigma_staggered"])
     def test_matches_normal_ordered_route(self, rho_table, name):
         table = oracle_tables(rho_table)[name]
         p = FieldParams(m=1.3, gamma=0.7)

@@ -72,11 +72,6 @@ class TestGeometryKernel:
         ga = GeometrySpec("finite_interval", -1.0, 2.0)
         assert abs(abs(geometry_kernel(q, ga)) - ga.length) <= 1e-8 * ga.length
 
-    def test_infinite_lattice_delta(self):
-        g = GeometrySpec("infinite_line")
-        assert geometry_kernel(0.0, g, delta_k=0.25) == pytest.approx(2 * math.pi / 0.25)
-        assert geometry_kernel(0.5, g, delta_k=0.25) == 0.0
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             GeometrySpec("finite_interval", 1.0, 0.0)

@@ -51,19 +51,23 @@ class TestCommutator:
         assert commutator(ModeOp("b1", 1), ModeOp("b1", 1, True), table).is_zero()
         assert commutator(ModeOp("a1", 1), ModeOp("a2", 1), table).is_zero()
 
-    def test_momentum_dependent_rho(self):
-        rho1 = lambda k, kp: Bicomplex(k * kp, 0, 0, 0)
-        t = CommutationTable(rho=(rho1, Bicomplex.zero(), Bicomplex.zero(),
-                                  Bicomplex.zero()), delta_k=0.5, N=3)
-        c = commutator(ModeOp("a1", 2), ModeOp("b1", 2), t)
-        assert c.is_close(Bicomplex(1.0 * 1.0 / 0.5, 0, 0, 0), 1e-14)
-
     def test_sigma_support_on_opposite_momenta(self, table):
         ts = CommutationTable(rho=table.rho, sigma=(Bicomplex(0.3),) * 4,
                               delta_k=0.25, N=4)
         c = commutator(ModeOp("a1", 2), ModeOp("b1", -2, True), ts)
         assert c.is_close(Bicomplex(0.3 / 0.25), 1e-14)
         assert commutator(ModeOp("a1", 2), ModeOp("b1", 2, True), ts).is_zero()
+
+
+class TestCommutationTable:
+    @pytest.mark.parametrize("entry", [0.5 - 0.25j,
+                                       lambda k, kp: Bicomplex.one()],
+                             ids=["complex", "callable"])
+    @pytest.mark.parametrize("field", ["rho", "sigma"])
+    def test_entry_that_is_not_bicomplex_raises(self, field, entry):
+        entries = (Bicomplex.one(), entry, Bicomplex.zero(), Bicomplex.zero())
+        with pytest.raises(TypeError):
+            CommutationTable(**{field: entries})
 
 
 class TestNormalOrder:
@@ -240,6 +244,16 @@ class TestVev:
         poly = pair_poly(("a1", "b1"), 1, 2, J_PLUS)
         poly = poly + poly.adjoint()
         assert vev(poly, rules, table).is_zero()
+
+    def test_coefficient_above_the_square_overflow(self, table):
+        rules = VacuumRules.generic(Bicomplex(0.3, 0.4, 0.1, -0.2),
+                                    Bicomplex.zero())
+        word = (ModeOp("a1", 1), ModeOp("b1", 1))
+        unit = vev(OperatorPoly.from_word(word, J_PLUS), rules, table)
+        big = vev(OperatorPoly.from_word(word, J_PLUS * Bicomplex(1e200)),
+                  rules, table)
+        assert math.isfinite(big.norm())
+        assert big.is_close(unit * Bicomplex(1e200), 1e-15 * big.norm())
 
     def test_outside_fragment_raises(self, table):
         rules = VacuumRules.generic(1.0, 1.0)

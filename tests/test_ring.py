@@ -94,6 +94,17 @@ class TestModulus:
             assert rotated.is_close(a.modulus(), 1e-12 * max(1.0, a.modulus().norm()))
 
 
+class TestNorm:
+    def test_component_above_the_square_overflow(self):
+        assert Bicomplex(1e200, 0.0, 0.0, 0.0).norm() == 1e200
+        assert Bicomplex(3e200, 4e200, 0.0, 0.0).norm() == pytest.approx(
+            5e200, rel=1e-15)
+
+    def test_sum_of_squares_below_it(self):
+        assert Bicomplex(0.1, -0.2, 0.3, 0.7).norm() == math.sqrt(
+            0.1 ** 2 + (-0.2) ** 2 + 0.3 ** 2 + 0.7 ** 2)
+
+
 class TestRingAxiomsExact:
     def test_rational_axioms(self):
         rng = random.Random(11)
