@@ -53,8 +53,12 @@ def h_gamma(k: float, kprime: float, params: FieldParams) -> complex:
     On the diagonal k' = k the real part collapses to (5/2) w^2, the origin
     of the factor 5 in the asymptotic-state kernels.
     """
-    w = omega(k, params)
-    wp = omega(kprime, params)
+    return _h_weight(k, kprime, omega(k, params), omega(kprime, params), params)
+
+
+def _h_weight(k: float, kprime: float, w: float, wp: float,
+              params: FieldParams) -> complex:
+    """h_gamma(k, k') given w = omega(k) and wp = omega(k')."""
     return (2.0 * wp * w + 0.5 * kprime * k
             + 0.5j * params.gamma * (wp + w) + 0.5 * params.m2_mod)
 
@@ -86,7 +90,8 @@ def hamiltonian_terms(params: FieldParams, geom: GeometrySpec,
     if geom.kind == INFINITE_LINE:
         for i in idx:
             k = table.momentum(i)
-            yield i, i, dk * dk * h_gamma(k, k, params) * (TWO_PI / dk)
+            w = omega(k, params)
+            yield i, i, dk * dk * _h_weight(k, k, w, w, params) * (TWO_PI / dk)
         return
     ks = [table.momentum(i) for i in idx]
     modes = list(zip(idx, ks, [omega(k, params) for k in ks]))
@@ -95,7 +100,7 @@ def hamiltonian_terms(params: FieldParams, geom: GeometrySpec,
             kern = geometry_kernel(k - kp, geom)
             g = cmath.exp(1j * (w - wp) * t) * kern if kern != 0.0 else 0.0
             if g != 0.0:
-                yield i, j, dk * dk * h_gamma(k, kp, params) * g
+                yield i, j, dk * dk * _h_weight(k, kp, w, wp, params) * g
 
 
 def hamiltonian_poly(params: FieldParams, geom: GeometrySpec,

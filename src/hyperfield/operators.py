@@ -403,7 +403,7 @@ def vev(poly: OperatorPoly, rules: VacuumRules,
                 z = cs * _sector_vev(word, plus, lambdas, table)
                 # adds j * Bicomplex.from_complex(z) with the grouping of
                 # Bicomplex.__mul__, whose g and h are z's zero j-parts
-                a, b, c, d = j.x, j.y, j.u, j.v
+                a, b, c, d = j
                 e, f, g = z.real, z.imag, 0.0
                 sx += (a * e + c * g) - (b * f + d * g)
                 sy += (a * f + c * g) + (b * e + d * g)

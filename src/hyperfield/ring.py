@@ -7,26 +7,34 @@ J+ = (1+j)/2 and J- = (1-j)/2, which are zero divisors (J+ J- = 0).
 Components are floats or ints; arithmetic stays inside the numeric type
 supplied, so on ints the ring identities are checked exactly.
 ``fractions.Fraction`` is used only by idempotents_exact, whose halves have
-no integer form.
+no integer form.  An element is an immutable 4-tuple (x, y, u, v), built
+in C: results skip the Python-level constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _SCALARS = (int, float, Fraction)
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Bicomplex:
-    """Element x + i*y + j*u + ij*v of the hypercomplex ring."""
+class Bicomplex(NamedTuple):
+    """Element x + i*y + j*u + ij*v of the hypercomplex ring.
+
+    An immutable 4-tuple: it iterates and unpacks as (x, y, u, v), and it
+    equals and hashes as a plain tuple of the same components.
+    """
 
     x: object = 0.0
     y: object = 0.0
     u: object = 0.0
     v: object = 0.0
+
+    # numpy scalars would broadcast over the tuple; make them defer to the ring
+    __array_ufunc__ = None
 
     # -- constructors ------------------------------------------------------
 
@@ -36,8 +44,8 @@ class Bicomplex:
         if isinstance(z, Bicomplex):
             return z
         if isinstance(z, complex):
-            return Bicomplex(z.real, z.imag, 0.0, 0.0)
-        return Bicomplex(z, 0.0, 0.0, 0.0)
+            return _new(Bicomplex, (z.real, z.imag, 0.0, 0.0))
+        return _new(Bicomplex, (z, 0.0, 0.0, 0.0))
 
     @staticmethod
     def zero() -> "Bicomplex":
@@ -53,8 +61,9 @@ class Bicomplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Bicomplex(self.x + other.x, self.y + other.y,
-                         self.u + other.u, self.v + other.v)
+        a, b, c, d = self
+        e, f, g, h = other
+        return _new(Bicomplex, (a + e, b + f, c + g, d + h))
 
     __radd__ = __add__
 
@@ -62,8 +71,9 @@ class Bicomplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Bicomplex(self.x - other.x, self.y - other.y,
-                         self.u - other.u, self.v - other.v)
+        a, b, c, d = self
+        e, f, g, h = other
+        return _new(Bicomplex, (a - e, b - f, c - g, d - h))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -72,21 +82,22 @@ class Bicomplex:
         return other - self
 
     def __neg__(self):
-        return Bicomplex(-self.x, -self.y, -self.u, -self.v)
+        a, b, c, d = self
+        return _new(Bicomplex, (-a, -b, -c, -d))
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.x, self.y, self.u, self.v
-        e, f, g, h = other.x, other.y, other.u, other.v
+        a, b, c, d = self
+        e, f, g, h = other
         # terms grouped so products of opposite idempotents cancel exactly
-        return Bicomplex(
+        return _new(Bicomplex, (
             (a * e + c * g) - (b * f + d * h),
             (a * f + c * h) + (b * e + d * g),
             (a * g + c * e) - (b * h + d * f),
             (a * h + c * f) + (b * g + d * e),
-        )
+        ))
 
     __rmul__ = __mul__
 
@@ -94,7 +105,8 @@ class Bicomplex:
 
     def conj(self) -> "Bicomplex":
         """Bar conjugation: negates the i- and j-parts.  Multiplicative."""
-        return Bicomplex(self.x, -self.y, -self.u, self.v)
+        a, b, c, d = self
+        return _new(Bicomplex, (a, -b, -c, d))
 
     def modulus(self) -> "Bicomplex":
         """Ring modulus a * conj(a); lies in the 1/ij subring."""
@@ -102,30 +114,33 @@ class Bicomplex:
 
     def plus(self) -> complex:
         """Standard-complex component multiplying J+."""
-        return complex(self.x + self.u, self.y + self.v)
+        x, y, u, v = self
+        return complex(x + u, y + v)
 
     def minus(self) -> complex:
         """Standard-complex component multiplying J-."""
-        return complex(self.x - self.u, self.y - self.v)
+        x, y, u, v = self
+        return complex(x - u, y - v)
 
     # -- predicates / numerics ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.u == 0 and self.v == 0
+        return not any(self)  # a number is falsy exactly when it equals 0
 
     def norm(self) -> float:
         """Euclidean norm of the four components (not the ring modulus)."""
+        x, y, u, v = self
         try:
-            return math.sqrt(float(self.x) ** 2 + float(self.y) ** 2
-                             + float(self.u) ** 2 + float(self.v) ** 2)
+            return math.sqrt(float(x) ** 2 + float(y) ** 2
+                             + float(u) ** 2 + float(v) ** 2)
         except OverflowError:  # hypot only where a square overflows, so
-            return math.hypot(*map(float, self.to_tuple()))  # bits stay put
+            return math.hypot(*map(float, self))  # bits stay put
 
     def is_close(self, other: "Bicomplex", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
 
     def to_tuple(self):
-        return (self.x, self.y, self.u, self.v)
+        return tuple(self)
 
     def __repr__(self):
         return f"Bicomplex({self.x!r}, {self.y!r}, {self.u!r}, {self.v!r})"
@@ -135,9 +150,9 @@ def _coerce(value):
     if isinstance(value, Bicomplex):
         return value
     if isinstance(value, _SCALARS):
-        return Bicomplex(value, 0, 0, 0)
+        return _new(Bicomplex, (value, 0, 0, 0))
     if isinstance(value, complex):
-        return Bicomplex(value.real, value.imag, 0.0, 0.0)
+        return _new(Bicomplex, (value.real, value.imag, 0.0, 0.0))
     return NotImplemented
 
 

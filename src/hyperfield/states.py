@@ -63,8 +63,8 @@ class StateVector:
         for key, amp in self.amplitudes.items():
             mate = mates.get(key)
             if mate is not None:
-                x, y, u, v = amp.x, amp.y, amp.u, amp.v
-                e, f, g, h = mate.x, mate.y, mate.u, mate.v
+                x, y, u, v = amp
+                e, f, g, h = mate
                 sx += (x * e - u * g) - (v * h - y * f)
                 sy += (x * f - u * h) + (v * g - y * e)
                 su += (x * g - u * e) - (v * f - y * h)
@@ -95,8 +95,8 @@ class StateVector:
                  for p in {p for key in self.amplitudes for p in key}}
         rows = sorted([(";".join([names[p] for p in key]) or "vacuum", amp)
                        for key, amp in self.amplitudes.items()])
-        amps = {label: [float(a.x), float(a.y), float(a.u), float(a.v)]
-                for label, a in rows}
+        amps = {label: [float(x), float(y), float(u), float(v)]
+                for label, (x, y, u, v) in rows}
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
 
 
@@ -317,7 +317,7 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
         right = tuple([p for p in key if p[1] not in partition])
         rows.append(li.setdefault(left, len(li)))
         cols.append(ri.setdefault(right, len(ri)))
-        comps.append((amp.x, amp.y, amp.u, amp.v))
+        comps.extend(amp)
     # complex columns x + iy and u + iv; their sum and difference are the
     # plus and minus sectors
     z = np.array(comps, dtype=float).reshape(-1, 4).view(complex)

@@ -83,7 +83,8 @@ def _random_rational_element(rng: random.Random) -> Bicomplex:
 
 
 def _sectors_exact(a: Bicomplex):
-    return (a.x + a.u, a.y + a.v, a.x - a.u, a.y - a.v)
+    x, y, u, v = a
+    return (x + u, y + v, x - u, y - v)
 
 
 def ring_property_suite(n_checks: int = 10_000, seed: int = 7,

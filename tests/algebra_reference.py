@@ -15,14 +15,17 @@ routes of the state expansion and the inner product, which the package
 replaced by closed forms, and the ring property suite in Fraction
 arithmetic, which the package runs on integers.  Last, the ring element
 built from its two idempotent sectors and the ring exponential through
-them, the oracle for ring.exp_bicomplex.  The package computes none of
-these in production; the tests compare its results against them.
+them, the oracle for ring.exp_bicomplex, and the ring element as the frozen
+dataclass that the package's immutable tuple replaced.  The package
+computes none of these in production; the tests compare its results
+against them.
 """
 
 import cmath
 import math
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -426,3 +429,121 @@ def hamiltonian_terms_reference(params, geom, table: CommutationTable,
             g = geometry_factor(k, kp, t, params, geom)
             if g != 0.0:
                 yield i, j, dk * dk * h_gamma(k, kp, params) * g
+
+
+@dataclass(frozen=True)
+class BicomplexReference:
+    """ring.Bicomplex as a frozen dataclass, the form the tuple replaced.
+
+    Every method is the same float and Fraction arithmetic in the same
+    order; the tests compare the tuple's results against it bit for bit.
+    """
+
+    x: object = 0.0
+    y: object = 0.0
+    u: object = 0.0
+    v: object = 0.0
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_complex(z) -> "BicomplexReference":
+        """Embed a standard complex number (or real scalar) into the ring."""
+        if isinstance(z, BicomplexReference):
+            return z
+        if isinstance(z, complex):
+            return BicomplexReference(z.real, z.imag, 0.0, 0.0)
+        return BicomplexReference(z, 0.0, 0.0, 0.0)
+
+    # -- ring arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return BicomplexReference(self.x + other.x, self.y + other.y,
+                                  self.u + other.u, self.v + other.v)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return BicomplexReference(self.x - other.x, self.y - other.y,
+                                  self.u - other.u, self.v - other.v)
+
+    def __rsub__(self, other):
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return BicomplexReference(-self.x, -self.y, -self.u, -self.v)
+
+    def __mul__(self, other):
+        other = _coerce_reference(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, c, d = self.x, self.y, self.u, self.v
+        e, f, g, h = other.x, other.y, other.u, other.v
+        # terms grouped so products of opposite idempotents cancel exactly
+        return BicomplexReference(
+            (a * e + c * g) - (b * f + d * h),
+            (a * f + c * h) + (b * e + d * g),
+            (a * g + c * e) - (b * h + d * f),
+            (a * h + c * f) + (b * g + d * e),
+        )
+
+    __rmul__ = __mul__
+
+    # -- involutions and sector views -------------------------------------
+
+    def conj(self) -> "BicomplexReference":
+        """Bar conjugation: negates the i- and j-parts.  Multiplicative."""
+        return BicomplexReference(self.x, -self.y, -self.u, self.v)
+
+    def modulus(self) -> "BicomplexReference":
+        """Ring modulus a * conj(a); lies in the 1/ij subring."""
+        return self * self.conj()
+
+    def plus(self) -> complex:
+        """Standard-complex component multiplying J+."""
+        return complex(self.x + self.u, self.y + self.v)
+
+    def minus(self) -> complex:
+        """Standard-complex component multiplying J-."""
+        return complex(self.x - self.u, self.y - self.v)
+
+    # -- predicates / numerics ---------------------------------------------
+
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0 and self.u == 0 and self.v == 0
+
+    def norm(self) -> float:
+        """Euclidean norm of the four components (not the ring modulus)."""
+        try:
+            return math.sqrt(float(self.x) ** 2 + float(self.y) ** 2
+                             + float(self.u) ** 2 + float(self.v) ** 2)
+        except OverflowError:  # hypot only where a square overflows, so
+            return math.hypot(*map(float, self.to_tuple()))  # bits stay put
+
+    def is_close(self, other: "BicomplexReference", tol: float = 1e-12) -> bool:
+        return (self - other).norm() <= tol
+
+    def to_tuple(self):
+        return (self.x, self.y, self.u, self.v)
+
+    def __repr__(self):
+        return f"Bicomplex({self.x!r}, {self.y!r}, {self.u!r}, {self.v!r})"
+
+
+def _coerce_reference(value):
+    if isinstance(value, BicomplexReference):
+        return value
+    if isinstance(value, (int, float, Fraction)):
+        return BicomplexReference(value, 0, 0, 0)
+    if isinstance(value, complex):
+        return BicomplexReference(value.real, value.imag, 0.0, 0.0)
+    return NotImplemented

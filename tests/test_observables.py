@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hyperfield import observables
 from hyperfield.modes import FieldParams, make_mode, omega
 from hyperfield.observables import (GeometrySpec, charge_density_classical,
                                     charge_poly, geometry_kernel, h_gamma,
@@ -50,6 +51,23 @@ class TestHGamma:
         expect = (2 * wp * w + 0.5 * kp * k + 0.5j * p.gamma * (wp + w)
                   + 0.5 * p.m2_mod)
         assert h_gamma(k, kp, p) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("geom", [GeometrySpec(),
+                                      GeometrySpec("finite_interval", -1.0, 2.0)],
+                             ids=["infinite", "finite"])
+    def test_hamiltonian_takes_omega_once_per_index(self, geom, monkeypatch):
+        calls = []
+
+        def counted(k, params):
+            calls.append(k)
+            return omega(k, params)
+
+        monkeypatch.setattr(observables, "omega", counted)
+        table = CommutationTable(delta_k=0.2, N=16, stagger=True)
+        hamiltonian_poly(FieldParams(m=1.0, gamma=0.3), geom, table, 0.4)
+        assert len(table.momentum_indices()) == 32
+        assert sorted(calls) == [table.momentum(i)
+                                 for i in table.momentum_indices()]
 
 
 class TestGeometryKernel:

@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -316,3 +317,95 @@ class TestFloatSectorIsomorphism:
     def test_minus_sector_is_multiplicative(self, a, b):
         want = a.minus() * b.minus()
         assert abs((a * b).minus() - want) <= 1e-13 * (1.0 + a.norm() * b.norm())
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                           math.inf, -math.inf, math.nan])
+# ints past the float range make float conversions raise OverflowError
+COMPONENT = st.one_of(SPECIAL, st.floats(), st.floats(-4.0, 4.0),
+                      st.integers(-10**6, 10**6),
+                      st.fractions(max_denominator=50),
+                      st.sampled_from([7, 10**400, -10**400, Fraction(1, 3)]))
+SCALAR = st.one_of(COMPONENT, st.complex_numbers(),
+                   st.builds(complex, SPECIAL, SPECIAL))
+
+
+def bits(value):
+    """Exact, hashable image of a result: float.hex per float part."""
+    if isinstance(value, (Bicomplex, ref.BicomplexReference)):
+        return tuple(bits(c) for c in value.to_tuple())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, complex):
+        return ("complex", value.real.hex(), value.imag.hex())
+    if isinstance(value, Fraction):
+        return ("Fraction", value.numerator, value.denominator)
+    return (type(value).__name__, value)
+
+
+def outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except Exception as exc:  # the reference's exception type is the result
+        return type(exc)
+
+
+class TestAgainstFrozenDataclass:
+    """The tuple ring gives the frozen dataclass's bits or its exception."""
+
+    UNARY = (operator.neg, lambda a: a.conj(), lambda a: a.plus(),
+             lambda a: a.minus(), lambda a: a.norm(), lambda a: a.is_zero(),
+             hash)
+    BINARY = (operator.add, operator.sub, operator.mul)
+
+    @staticmethod
+    def pair(comps):
+        return Bicomplex(*comps), ref.BicomplexReference(*comps)
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(st.tuples(*(COMPONENT,) * 4), st.tuples(*(COMPONENT,) * 4),
+           SCALAR)
+    def test_same_bits(self, left, right, scalar):
+        a, a_ref = self.pair(left)
+        b, b_ref = self.pair(right)
+        for fn in self.UNARY:
+            assert outcome(fn, a) == outcome(fn, a_ref), fn
+        for fn in self.BINARY:
+            assert outcome(fn, a, b) == outcome(fn, a_ref, b_ref), fn
+            assert outcome(fn, b, a) == outcome(fn, b_ref, a_ref), fn
+            assert outcome(fn, a, scalar) == outcome(fn, a_ref, scalar), fn
+            assert outcome(fn, scalar, a) == outcome(fn, scalar, a_ref), fn
+        assert (a == b) == (a_ref == b_ref)
+        assert (a == Bicomplex(*left)) == (a_ref == ref.BicomplexReference(*left))
+        assert (a == scalar) == (a_ref == scalar)
+
+
+class TestValueSemantics:
+    def test_components_are_read_only(self):
+        b = Bicomplex(1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(AttributeError):
+            b.x = 5.0
+        assert b.to_tuple() == (1.0, 2.0, 3.0, 4.0)
+
+    def test_equal_components_equal_values_and_hashes(self):
+        a = Bicomplex(0.5, Fraction(1, 3), -2, 0.0)
+        b = Bicomplex(0.5, Fraction(1, 3), -2, 0.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Bicomplex(0.5, Fraction(1, 3), -2, 1.0)}) == 2
+
+    def test_tuple_of_its_components(self):
+        b = Bicomplex(1.0, 2.0, 3.0, 4.0)
+        x, y, u, v = b
+        assert (x, y, u, v) == b == (1.0, 2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("expr, want", [
+        (lambda b: np.float64(2.0) * b, (2.0, 4.0, 6.0, 8.0)),
+        (lambda b: np.complex128(1j) * b, (-2.0, 1.0, -4.0, 3.0)),
+        (lambda b: np.float64(1.0) + b, (2.0, 2.0, 3.0, 4.0)),
+    ], ids=["float64_mul", "complex128_mul", "float64_add"])
+    def test_numpy_scalars_defer_to_the_ring(self, expr, want):
+        # a tuple would otherwise be broadcast as a length-4 array
+        got = expr(Bicomplex(1.0, 2.0, 3.0, 4.0))
+        assert isinstance(got, Bicomplex)
+        assert got.to_tuple() == want
