@@ -187,19 +187,34 @@ def _state_chunks(payload: dict):
     """json.dump(payload, fh, indent=2, sort_keys=True) and "\n", in chunks.
 
     One chunk per ket of a StateVector.to_jsonable payload, whose
-    amplitudes are already in sort_keys order.
+    amplitudes are already in sort_keys order.  Each distinct finite
+    nonzero float's text is made once per dump.
     """
     amps = payload["amplitudes"]
     yield '{\n  "amplitudes": {'
     sep = "\n"
+    texts: dict = {}
+    get = texts.get
     for label, (x, y, u, v) in amps.items():
-        if not x - x == y - y == u - u == v - v == 0.0:  # NaN or Infinity
-            x, y, u, v = map(json.dumps, (x, y, u, v))
+        x = get(x) or _float_text(x, texts)
+        y = get(y) or _float_text(y, texts)
+        u = get(u) or _float_text(u, texts)
+        v = get(v) or _float_text(v, texts)
         yield (f"{sep}    {json.encoder.encode_basestring_ascii(label)}: [\n"
                f"      {x},\n      {y},\n      {u},\n      {v}\n    ]")
         sep = ",\n"
     close = "\n  }" if amps else "}"
     yield f'{close},\n  "truncation_order": {payload["truncation_order"]!r}\n}}\n'
+
+
+def _float_text(c: float, texts: dict) -> str:
+    """json.dumps(c), kept in texts if c is finite and nonzero (-0.0 == 0.0)."""
+    if c - c != 0.0:  # NaN or Infinity
+        return json.dumps(c)
+    text = repr(c)
+    if c:
+        texts[c] = text
+    return text
 
 
 # -- verbs -------------------------------------------------------------------
@@ -291,7 +306,10 @@ def cmd_evolve(args, cfg: dict) -> int:
         raise ConfigError("--t must be a finite number")
     geom = _geometry(cfg)
     order = cfg["truncation_order"]
-    state = evolve_vacuum(args.t, order, params, geom, table)
+    try:
+        state = evolve_vacuum(args.t, order, params, geom, table)
+    except DomainError as exc:  # a finite interval whose phases q L overflow
+        raise ConfigError(str(exc)) from exc
     dev, out, rank = _dump_state(state, table, args, cfg, "evolved",
                                   f"--t {args.t:g}")
     print(f"t={args.t} order={order} kets={len(state.amplitudes)} "

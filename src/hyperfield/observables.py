@@ -67,15 +67,20 @@ def geometry_kernel(q: float, geom: GeometrySpec) -> complex:
     """Spatial integral I(q) = Integral_system e^{-i q x} dx.
 
     Finite interval: (e^{-i q L1} - e^{-i q L2}) / (i q), with I(0) equal
-    to the total length.  The infinite line's 2 pi delta(q) is the
-    diagonal of hamiltonian_terms; it raises DomainError here.
+    to the total length.  Raises DomainError when q L1 or q L2 overflows.
+    The infinite line's 2 pi delta(q) is the diagonal of
+    hamiltonian_terms; it raises DomainError here.
     """
     if geom.kind != FINITE_INTERVAL:
         raise DomainError("the infinite-line kernel is a lattice delta")
     if q == 0.0:
         return complex(geom.length)
-    return (cmath.exp(-1j * q * geom.L1)
-            - cmath.exp(-1j * q * geom.L2)) / (1j * q)
+    try:
+        return (cmath.exp(-1j * q * geom.L1)
+                - cmath.exp(-1j * q * geom.L2)) / (1j * q)
+    except ValueError:  # q L overflowed, and e^{-i inf} has no value
+        raise DomainError(f"interval [{geom.L1:g}, {geom.L2:g}] overflows "
+                          f"the phase q L at q = {q:g}") from None
 
 
 def hamiltonian_terms(params: FieldParams, geom: GeometrySpec,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import UndeterminedByAxioms
-from .ring import Bicomplex, J_MINUS, J_PLUS, ONE
+from .ring import Bicomplex, J_MINUS, J_PLUS
 
 _RANK = {"a1": 0, "b1": 1, "a2": 2, "b2": 3}
 _A_FAMILY = {"a1", "a2"}
@@ -222,7 +222,13 @@ def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
         return OperatorPoly.zero()
     if o1 == o2:
         return OperatorPoly({(o1, o2): c * Bicomplex(2.0)})
-    one = c * ONE
+    # c * (1, 0, 0, 0) written out, Bicomplex.__mul__'s float operations
+    # kept: its zero products turn -0.0 into +0.0 and inf into NaN
+    a, b, g, d = c
+    za, zb, zg, zd = a * 0.0, b * 0.0, g * 0.0, d * 0.0
+    zag, zbd = za + zg, zb + zd
+    one = tuple.__new__(Bicomplex, ((a * 1.0 + zg) - zbd, zag + (b * 1.0 + zd),
+                                    (za + g * 1.0) - zbd, zag + (zb + d * 1.0)))
     return OperatorPoly({(o1, o2): one, (o2, o1): one})
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -111,44 +110,48 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
     amps: dict = {(): Bicomplex.one()}
 
     for tag in (TAG_MIRROR, TAG_SYSTEM):
-        labels = {(tag, i, j, flag): z
-                  for (i, j), z in pairs.items() for flag in (0, 1)}
+        labels = sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
+                         for flag in (0, 1)}.items())
         if not labels:
             continue
-        names = sorted(labels)
+        # degree n extends each degree n - 1 prefix, zero amplitudes too, by
+        # every label at or after its last: combinations_with_replacement
+        # order and left-to-right products.  A prefix is (key, index of its
+        # last label, scalar, multiplicity, run of its last label)
+        prefixes = [((), 0, complex(1.0), 1, 0)]
         for n in range(1, order + 1):
-            count = math.comb(len(names) + n - 1, n)
+            count = math.comb(len(labels) + n - 1, n)
             if len(amps) + count > BASIS_CAP:
                 raise TruncationOrderTooLarge(
                     f"basis would exceed cap {BASIS_CAP} at order {n}")
-            for combo in combinations_with_replacement(names, n):
-                scalar = complex(1.0)
-                mult = 1
-                run = 1
-                for idx in range(n):
-                    scalar *= labels[combo[idx]]
-                    if idx > 0 and combo[idx] == combo[idx - 1]:
-                        run += 1
-                        mult *= run
+            grown = []
+            for key, last, prefix, pmult, prun in prefixes:
+                for idx in range(last, len(labels)):
+                    name, z = labels[idx]
+                    scalar = prefix * z
+                    run = prun + 1 if idx == last else 1
+                    mult = pmult * run
+                    combo = key + (name,)
+                    if n < order:
+                        grown.append((combo, idx, scalar, mult, run))
+                    w = scalar / mult
+                    e, f = w.real, w.imag
+                    # J+ or J- times e + i f, written out: Bicomplex.__mul__'s
+                    # float operations with the zero parts folded in, so signed
+                    # zeros and the NaN of inf * 0 come out bit for bit
+                    ze, zf = 0.0 * e + 0.0, 0.0 * f + 0.0
+                    if tag == TAG_MIRROR:
+                        x = (0.5 * e + 0.0) - zf
+                        y = (0.5 * f + 0.0) + ze
+                        u, v = x, y
                     else:
-                        run = 1
-                w = scalar / mult
-                e, f = w.real, w.imag
-                # J+ or J- times e + i f, written out: Bicomplex.__mul__'s
-                # float operations with the zero parts folded in, so signed
-                # zeros and the NaN of inf * 0 come out bit for bit
-                ze, zf = 0.0 * e + 0.0, 0.0 * f + 0.0
-                if tag == TAG_MIRROR:
-                    x = (0.5 * e + 0.0) - zf
-                    y = (0.5 * f + 0.0) + ze
-                    u, v = x, y
-                else:
-                    x = 0.5 * e - zf
-                    y = 0.5 * f + ze
-                    u = (0.0 - 0.5 * e) - zf
-                    v = (0.0 - 0.5 * f) + ze
-                if x or y or u or v:
-                    amps[combo] = Bicomplex(x, y, u, v)
+                        x = 0.5 * e - zf
+                        y = 0.5 * f + ze
+                        u = (0.0 - 0.5 * e) - zf
+                        v = (0.0 - 0.5 * f) + ze
+                    if x or y or u or v:
+                        amps[combo] = tuple.__new__(Bicomplex, (x, y, u, v))
+            prefixes = grown
     return StateVector(amps, order)
 
 
@@ -313,10 +316,11 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
     ri: dict = {}
     rows, cols, comps = [], [], []
     for key, amp in state.amplitudes.items():
-        left = tuple([p for p in key if p[1] in partition])
-        right = tuple([p for p in key if p[1] not in partition])
-        rows.append(li.setdefault(left, len(li)))
-        cols.append(ri.setdefault(right, len(ri)))
+        left, right = [], []
+        for p in key:
+            (left if p[1] in partition else right).append(p)
+        rows.append(li.setdefault(tuple(left), len(li)))
+        cols.append(ri.setdefault(tuple(right), len(ri)))
         comps.extend(amp)
     # complex columns x + iy and u + iv; their sum and difference are the
     # plus and minus sectors

@@ -156,6 +156,22 @@ class TestStateWriter:
         # streamed: one chunk per ket plus the opening and the closing
         assert len(chunks) == len(payload["amplitudes"]) + 2
 
+    def test_recurring_components(self):
+        # each value recurs across kets and within one: a text kept per
+        # value must not print -0.0 as 0.0 (they compare equal), nor the
+        # reverse, and NaN (equal to nothing) and infinities as json does
+        values = (0.1, 0.0, -0.0, math.nan, math.inf, -math.inf)
+        amps = {(("2ba", i, j, 0),): Bicomplex(
+                    *(values[(i + j + n) % len(values)] for n in range(4)))
+                for i in range(6) for j in range(4)}
+        amps.update({(("1ab", 9, 9, 1),) * (n + 1): Bicomplex(c, c, c, c)
+                     for n, c in enumerate(values)})
+        payload = StateVector(amps, 6).to_jsonable()
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = list(cli._state_chunks(payload))
+        assert "".join(chunks) == want
+        assert len(chunks) == len(payload["amplitudes"]) + 2
+
 
 class TestAsymptotic:
     def test_finite_state(self, tmp_path):
@@ -229,6 +245,11 @@ class TestConfig:
         ["evolve", "--t", "0.1", "--order", "1", "--L1", "0", "--L2", "3"],
         ["asymptotic", "--geometry", "infinite", "--L2", "3"],
         ["evolve", "--t", "1e103", "--order", "3"],
+        # q L overflows though L2 - L1 does not; and where L2 - L1 does too
+        ["evolve", "--t", "0.1", "--order", "1", "--geometry", "finite",
+         "--L1=-1e308", "--L2=-9e307"],
+        ["evolve", "--t", "0.1", "--order", "1", "--geometry", "finite",
+         "--L1=-1e308", "--L2=1e308"],
         ["asymptotic", "--geometry", "infinite", "--t-values", "1e308"],
         ["ring-check", "--checks", "0"],
         ["ring-check", "--checks", "-5"],
@@ -243,7 +264,8 @@ class TestConfig:
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
             "evolve_L1_without_finite", "asymptotic_L2_without_finite",
-            "evolve_t_overflows", "t_values_overflow", "checks_zero",
+            "evolve_t_overflows", "evolve_phase_overflows",
+            "evolve_length_overflows", "t_values_overflow", "checks_zero",
             "checks_negative", "asymptotic_amplitudes_overflow",
             "asymptotic_order4_amplitudes_overflow",
             "asymptotic_norm_overflows"])

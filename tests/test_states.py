@@ -60,7 +60,9 @@ class TestEvolveVacuum:
 
     def test_basis_cap(self, params, table, monkeypatch):
         monkeypatch.setattr(states, "BASIS_CAP", 100)
-        with pytest.raises(TruncationOrderTooLarge):
+        # 1 + 16 kets fit; degree 2 of the first sector would make 153
+        with pytest.raises(TruncationOrderTooLarge,
+                           match=r"^basis would exceed cap 100 at order 2$"):
             evolve_vacuum(0.7, 3, params, GEOM, table)
 
     def test_riemann_refinement(self, params):
@@ -411,10 +413,18 @@ class TestAgainstRingRoutes:
                    complex(-5e-324, 1e-300), complex(inf, 1.0),
                    complex(nan, 0.0), complex(0.0, -inf),
                    complex(-0.0, -0.0), complex(-2.5, 0.75)]
-        pairs = {(i, -i): z for i, z in enumerate(weights)}
-        for order in (1, 2):
-            state = states._expand_exponential(pairs, order)
-            want = ref.expand_exponential_ring(pairs, order)
-            assert _hexes(state.amplitudes) == _hexes(want)
-            assert _hexes({0: state.inner(state)}) == _hexes(
-                {0: ref.inner_ring(want, want)})
+        for pairs in ({(i, -i): z for i, z in enumerate(weights)},
+                      # a zero weight sorts first, so it prefixes the inf
+                      # label (0 * inf = nan) and the label at index 2
+                      # that repeats 3 and 4 times (mult 6 and 24)
+                      {(0, 0): complex(0.0, -0.0), (1, 1): complex(inf, 0.5),
+                       (2, 2): complex(-1.5, 0.25)}):
+            for order in (1, 2, 3, 4):
+                state = states._expand_exponential(pairs, order)
+                want = ref.expand_exponential_ring(pairs, order)
+                assert _hexes(state.amplitudes) == _hexes(want)
+                assert _hexes({0: state.inner(state)}) == _hexes(
+                    {0: ref.inner_ring(want, want)})
+        zero, nan_ = (TAG_MIRROR, 0, 0, 0), (TAG_MIRROR, 1, 1, 0)
+        assert math.isnan(state.amplitudes[(zero, nan_)].x)
+        assert ((TAG_SYSTEM, 2, 2, 1),) * 4 in state.amplitudes
