@@ -22,7 +22,6 @@ from .observables import (GeometrySpec, charge_density_classical, charge_poly,
                           noether_residual, vev_H, vev_Q)
 from .states import (StateVector, asymptotic_state_finite,
                      asymptotic_state_infinite, eta_k, evolve_vacuum,
-                     norm_preservation, overlap_phases, overlap_with_vacuum,
-                     project_view, schmidt_rank)
+                     norm_preservation, project_view, schmidt_rank)
 
 __version__ = "0.1.0"

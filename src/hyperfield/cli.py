@@ -17,7 +17,7 @@ import sys
 
 from . import verification
 from .commutators import (commutator_omega_omegadagger, commutator_pi_pidagger,
-                          figure_data, lattice_delta_profile,
+                          figure_data, lattice_delta_profile, sweep_grid,
                           weighted_commutators)
 from .errors import DomainError, HyperfieldError
 from .modes import FieldParams
@@ -219,12 +219,6 @@ def _float_text(c: float, texts: dict) -> str:
 
 # -- verbs -------------------------------------------------------------------
 
-def _defect_mul(a: Bicomplex, b: Bicomplex) -> Bicomplex:
-    """Product with j^2 = -1: ring-check --selftest-defect's failure path."""
-    good = a * b
-    return Bicomplex(good.x - 2 * a.u * b.u, good.y, good.u, good.v)
-
-
 def _dump_state(state, table, args, cfg: dict, name: str, what: str):
     """Write a state dump after its checks; return (deviation, path, rank).
 
@@ -245,9 +239,7 @@ def _dump_state(state, table, args, cfg: dict, name: str, what: str):
 def cmd_ring_check(args, _cfg: dict) -> int:
     if args.checks < 1:
         raise ConfigError("--checks must be >= 1")
-    rep = verification.ring_property_suite(
-        n_checks=args.checks, seed=args.seed,
-        **({"mul_fn": _defect_mul} if args.selftest_defect else {}))
+    rep = verification.ring_property_suite(n_checks=args.checks, seed=args.seed)
     print(f"ring-check: {rep['checks']} checks in {rep['seconds']:.2f}s")
     if rep["failures"]:
         print("failing properties: " + ", ".join(rep["failures"]))
@@ -268,6 +260,8 @@ def cmd_commutator(args, cfg: dict) -> int:
     table = _table(cfg)
     if args.steps < 1:
         raise ConfigError("empty sweep: --steps must be >= 1")
+    if not (_is_real(args.x_min) and _is_real(args.x_max)):
+        raise ConfigError("--x-min and --x-max must be finite numbers")
     if args.which in _FIGURE_OF:
         try:
             rows = figure_data(_FIGURE_OF[args.which],
@@ -276,7 +270,6 @@ def cmd_commutator(args, cfg: dict) -> int:
             raise ConfigError(str(exc)) from exc
     else:
         # delta-type kernels: emit coefficient times the lattice delta profile
-        _warn_lattice_span(cfg)
         weight = None
         if args.which == "omega-omega":
             coeff = commutator_omega_omegadagger(table).coefficient
@@ -286,11 +279,15 @@ def cmd_commutator(args, cfg: dict) -> int:
         else:
             coeff = weighted_commutators("omega_pi", 1.0, params, table).coefficient
         rows = []
-        for i in range(args.steps):
-            dx = args.x_min + (args.x_max - args.x_min) * i / max(args.steps - 1, 1)
+        for dx in sweep_grid(args.x_min, args.x_max, args.steps):
             prof = lattice_delta_profile(dx, table, weight)
             val = (coeff * Bicomplex.from_complex(prof)).plus()
             rows.append((dx, val.real, val.imag))
+    # a span, M^2 or table entry can overflow though each flag is finite
+    if not all(math.isfinite(c) for row in rows for c in row):
+        raise ConfigError(f"the {args.which} sweep overflows to non-finite rows")
+    if args.which not in _FIGURE_OF:
+        _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"],
                                       f"commutator_{args.which}.csv")
     _write(out, itertools.chain(["x,re,im\n"], (
@@ -326,7 +323,8 @@ def cmd_evolve(args, cfg: dict) -> int:
 def cmd_asymptotic(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
-    ts = _times(args.t_values) if args.t_values else [0.0, 1.0, 10.0, 100.0]
+    t_values = args.t_values or "0,1,10,100"
+    ts = _times(t_values)
     order = cfg["truncation_order"]
     if args.geometry == "finite":
         L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
@@ -339,7 +337,7 @@ def cmd_asymptotic(args, cfg: dict) -> int:
         return 0
     diags = asymptotic_state_infinite(ts, params, table)
     if not all(math.isfinite(d["log_modulus"]) for d in diags):
-        raise ConfigError(f"--t-values {args.t_values} overflow the diagnostics")
+        raise ConfigError(f"--t-values {t_values} overflow the diagnostics")
     _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"],
                                       "asymptotic_diagnostics.json")
@@ -380,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of checks, rounded up to a multiple of 8 "
                          "(eight properties per random triple)")
     rc.add_argument("--seed", type=int, default=7)
-    rc.add_argument("--selftest-defect", action="store_true",
-                    help=argparse.SUPPRESS)
 
     cm = sub.add_parser("commutator", help="sweep a field commutator to CSV")
     cm.add_argument("--which", required=True, choices=_VERBS)

@@ -457,6 +457,11 @@ def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
 # figure sweeps
 # ---------------------------------------------------------------------------
 
+def sweep_grid(lo: float, hi: float, steps: int) -> list[float]:
+    """steps evenly spaced abscissae from lo to hi (lo alone when steps is 1)."""
+    return [lo + (hi - lo) * i / max(steps - 1, 1) for i in range(steps)]
+
+
 def figure_data(figure: str, grid, params: FieldParams,
                 table: CommutationTable) -> list[tuple[float, float, float]]:
     """CSV-ready sweep (abscissa, re, im) for the commutator profiles.
@@ -474,7 +479,6 @@ def figure_data(figure: str, grid, params: FieldParams,
     base = {"fig2": "fig1", "fig6b": "fig6", "fig7b": "fig7"}.get(figure, figure)
     if base not in ("fig1", "fig6", "fig7"):
         raise ValueError(f"unknown figure {figure!r}")
-    xs = [lo + (hi - lo) * i / max(steps - 1, 1) for i in range(steps)]
 
     def kernel(dx: float, p: FieldParams) -> Bicomplex:
         if base == "fig1":
@@ -483,7 +487,7 @@ def figure_data(figure: str, grid, params: FieldParams,
         return weighted_commutators(which, dx, p, table).value_at(dx)
 
     rows = []
-    for x in xs:
+    for x in sweep_grid(lo, hi, steps):
         if figure == base:
             if x == 0.0:
                 raise DomainError("sweep grid must avoid dx = 0")

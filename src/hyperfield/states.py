@@ -22,8 +22,8 @@ from .errors import DomainError, PoleAtZeroMomentum, TruncationOrderTooLarge
 from .modes import FieldParams, omega
 from .observables import (FINITE_INTERVAL, GeometrySpec, geometry_kernel,
                           h_gamma, hamiltonian_terms)
-from .operators import CommutationTable, VacuumRules
-from .ring import Bicomplex, J_MINUS, J_PLUS, exp_bicomplex
+from .operators import CommutationTable
+from .ring import Bicomplex, J_MINUS, J_PLUS
 
 TWO_PI = 2.0 * math.pi
 
@@ -170,31 +170,6 @@ def evolve_vacuum(t: float, order: int, params: FieldParams,
         if z != 0:
             pairs[(i, j)] = z
     return _expand_exponential(pairs, order)
-
-
-def overlap_phases(t: float, params: FieldParams, geom: GeometrySpec,
-                   table: CommutationTable,
-                   rules: VacuumRules) -> tuple[float, float]:
-    """Phases (alpha, beta) of <0|0(t)> = e^{i alpha} e^{j beta}.
-
-    alpha = t Re W and beta = -t Im W with
-    W = sum_pairs w [lambda1_plus] + conj(w [lambda2_minus]); both vanish
-    identically under the constrained rules.
-    """
-    a = rules.lambda1.plus()
-    b = rules.lambda2.minus()
-    w_sum = complex(0.0)
-    if a != 0 or b != 0:
-        for _i, _j, w in hamiltonian_terms(params, geom, table, t):
-            w_sum += w * a + (w * b).conjugate()
-    return t * w_sum.real, -t * w_sum.imag
-
-
-def overlap_with_vacuum(t: float, params: FieldParams, geom: GeometrySpec,
-                        table: CommutationTable,
-                        rules: VacuumRules) -> Bicomplex:
-    """<0|0(t)> as a bicomplex phase; identically 1 under constrained rules."""
-    return exp_bicomplex(*overlap_phases(t, params, geom, table, rules))
 
 
 def norm_preservation(t: float, order: int, params: FieldParams,

@@ -12,8 +12,9 @@ rather than indices, and the Hamiltonian weights built through a geometry
 factor that evaluates omega four times per momentum pair.  Also the
 ring-object
 routes of the state expansion and the inner product, which the package
-replaced by closed forms, and the ring property suite in Fraction
-arithmetic, which the package runs on integers.  Last, the ring element
+replaced by closed forms, the ring property suite in Fraction
+arithmetic, which the package runs on integers, and a broken product
+that fails it.  Last, the ring element
 built from its two idempotent sectors and the ring exponential through
 them, the oracle for ring.exp_bicomplex, and the ring element as the frozen
 dataclass that the package's immutable tuple replaced.  The package
@@ -177,6 +178,12 @@ def ring_property_suite_fraction(n_checks: int = 10_000, seed: int = 7,
               pr == ar * br - ai * bi and pi == ar * bi + ai * br
               and mr == amr * bmr - ami * bmi and mi == amr * bmi + ami * bmr)
     return {"checks": checks, "failures": failures}
+
+
+def _defect_mul(a: Bicomplex, b: Bicomplex) -> Bicomplex:
+    """Product with j^2 = -1: a broken product for the suite's failure path."""
+    good = a * b
+    return Bicomplex(good.x - 2 * a.u * b.u, good.y, good.u, good.v)
 
 
 def from_sectors(plus, minus) -> Bicomplex:

@@ -12,11 +12,11 @@ import math
 import pytest
 
 from hyperfield import commutators as fc
-from hyperfield import states
+from hyperfield import observables, states
 from hyperfield import verification as vf
 from hyperfield.modes import omega
 from hyperfield.observables import h_gamma
-from hyperfield.operators import CommutationTable
+from hyperfield.operators import CommutationTable, VacuumRules
 from hyperfield.ring import Bicomplex
 
 
@@ -78,6 +78,17 @@ def test_tripled_unconjugated_eta_k_fails_criterion_6(monkeypatch):
     assert not report["passed"]
     assert "FAILED worst eta_k relative deviation" in report["detail"]
     assert "FAILED worst relative deviation" not in report["detail"]
+
+
+def test_swapped_vev_eigenvalues_fail_criterion_7(monkeypatch):
+    vev = observables.vev
+    monkeypatch.setattr(observables, "vev", lambda poly, rules, table: vev(
+        poly, VacuumRules(rules.lambda2, rules.lambda1, False), table))
+    report = vf.criterion_7_vev_cancellation()
+    _assert_derived(report)
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "constrained |<H>|": False, "constrained |<Q>|": False,
+        "generic |<H>|": True, "generic |<Q>|": True}
 
 
 def _seeded_expansion(monkeypatch, rewrite):

@@ -1,15 +1,19 @@
+import functools
 import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import algebra_reference as ref
 import hyperfield
 from hyperfield import cli
+from hyperfield import verification as vf
 from hyperfield.cli import main
 from hyperfield.ring import Bicomplex
 from hyperfield.states import StateVector
@@ -35,11 +39,14 @@ class TestRingCheck:
         assert r.returncode == 0
         assert "all properties hold" in r.stdout
 
-    def test_defect_hook_fails(self, tmp_path):
-        r = run_cli(["ring-check", "--checks", "500", "--selftest-defect"], tmp_path)
-        assert r.returncode == 1
-        assert r.stdout.splitlines()[1] == ("failing properties: mul_associative, "
-                                            "idempotent_algebra, sector_isomorphism")
+    def test_defect_hook_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(vf, "ring_property_suite", functools.partial(
+            vf.ring_property_suite, mul_fn=ref._defect_mul))
+        assert main(["ring-check", "--checks", "500"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("ring-check: 504 checks in ")
+        assert out[1] == ("failing properties: mul_associative, "
+                          "idempotent_algebra, sector_isomorphism")
 
     def test_checks_round_up_to_whole_blocks(self, capsys):
         assert main(["ring-check", "--checks", "9"]) == 0
@@ -189,6 +196,15 @@ class TestAsymptotic:
         assert len(diags) == 3
         assert all(d["divergent"] for d in diags)  # default gamma = 0.5
 
+    def test_overflow_error_names_default_times(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"delta_k": 1e300}))
+        r = run_cli(["--config", str(cfg), "asymptotic", "--geometry",
+                     "infinite"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr == ("error: --t-values 0,1,10,100 overflow the "
+                            "diagnostics\n")
+
     def test_json_state_determinism(self, tmp_path):
         args = ["asymptotic", "--geometry", "finite", "--order", "1",
                 "--L1", "-1", "--L2", "2"]
@@ -260,6 +276,13 @@ class TestConfig:
          "--L1=-1e150", "--L2=1e150"],
         [{"N": 2}, "asymptotic", "--geometry", "finite", "--order", "2",
          "--L1=-1e153", "--L2=1e153"],
+        ["commutator", "--which", "omega-omega", "--x-min=nan"],
+        # x-max - x-min overflows, and inf * 0 makes the first row NaN
+        ["commutator", "--which", "omega-pi", "--x-min=-1e308",
+         "--x-max=1e308"],
+        ["commutator", "--which", "omega-pi", "--m", "1e200"],  # M^2 overflows
+        [{"rho": [[1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                  [-1e308, 0, 0, 0]]}, "commutator", "--which", "omega-omega"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
@@ -268,7 +291,9 @@ class TestConfig:
             "evolve_length_overflows", "t_values_overflow", "checks_zero",
             "checks_negative", "asymptotic_amplitudes_overflow",
             "asymptotic_order4_amplitudes_overflow",
-            "asymptotic_norm_overflows"])
+            "asymptotic_norm_overflows", "sweep_x_min_nan",
+            "sweep_span_overflows", "sweep_m2_overflows",
+            "sweep_rho_overflows"])
     def test_malformed_flag_is_usage_error(self, tmp_path, tmp_path_factory,
                                            args):
         if isinstance(args[0], dict):
@@ -330,3 +355,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL] criterion  3" in out
+
+
+def test_readme_cli_examples_parse():
+    """Each `hyperfield ...` line of README's CLI sh block parses, so a flag
+    renamed or removed under the docs fails here."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    verbs = set()
+    for line in block.splitlines():
+        if line.startswith("hyperfield "):
+            argv = shlex.split(line, comments=True)[1:]
+            verbs.add(cli.build_parser().parse_args(argv).verb)
+    assert verbs == {"ring-check", "commutator", "evolve", "asymptotic",
+                     "verify"}

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import random
@@ -137,14 +138,14 @@ class TestPropertySuite:
 
     def test_cli_defect_product(self, monkeypatch):
         seen = []
-        suite = vf.ring_property_suite
+        defective = functools.partial(vf.ring_property_suite,
+                                      mul_fn=ref._defect_mul)
 
         def recording(**kwargs):
-            seen.append(suite(**kwargs))
+            seen.append(defective(**kwargs))
             return seen[-1]
         monkeypatch.setattr(vf, "ring_property_suite", recording)
-        assert cli.main(["ring-check", "--checks", "500",
-                         "--selftest-defect"]) == 1
+        assert cli.main(["ring-check", "--checks", "500"]) == 1
         [rep] = seen
         assert rep["checks"] == 504
         assert rep["failures"] == ["mul_associative", "idempotent_algebra",
@@ -186,7 +187,7 @@ class TestIntegerRoute:
     """The suite's scaled-integer route against the Fraction reference."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 7, 42])
-    @pytest.mark.parametrize("mul_fn", [operator.mul, cli._defect_mul],
+    @pytest.mark.parametrize("mul_fn", [operator.mul, ref._defect_mul],
                              ids=["product", "cli_defect"])
     def test_verdicts_match_fraction_suite(self, seed, mul_fn):
         rep = vf.ring_property_suite(2000, seed=seed, mul_fn=mul_fn)

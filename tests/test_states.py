@@ -9,13 +9,12 @@ from hyperfield.errors import (DomainError, PoleAtZeroMomentum,
                                TruncationOrderTooLarge)
 from hyperfield.modes import FieldParams, omega
 from hyperfield.observables import GeometrySpec, h_gamma, hamiltonian_terms
-from hyperfield.operators import CommutationTable, VacuumRules
-from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS, exp_bicomplex
+from hyperfield.operators import CommutationTable
+from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 from hyperfield.states import (StateVector, TAG_MIRROR, TAG_SYSTEM,
                                asymptotic_state_finite,
                                asymptotic_state_infinite, eta_k, evolve_vacuum,
-                               norm_preservation, overlap_phases,
-                               overlap_with_vacuum, project_view, schmidt_rank)
+                               norm_preservation, project_view, schmidt_rank)
 
 
 @pytest.fixture
@@ -29,7 +28,6 @@ def params():
 
 
 GEOM = GeometrySpec("infinite_line")
-RULES = VacuumRules.constrained_rules()
 
 
 class TestEvolveVacuum:
@@ -77,39 +75,6 @@ class TestEvolveVacuum:
         a = total_first_order(0.2, 10)
         b = total_first_order(0.1, 20)
         assert (a - b).norm() / b.norm() < 0.01
-
-
-class TestOverlap:
-    def test_constrained_exactly_one(self, params, table):
-        for t in (0.1, 1.0, 10.0, 100.0):
-            ov = overlap_with_vacuum(t, params, GEOM, table, RULES)
-            assert ov.is_close(Bicomplex.one(), 0.0)
-
-    def test_time_zero_any_rules(self, params, table):
-        rules = VacuumRules.generic(Bicomplex(0.2, 0.1, 0.0, 0.3),
-                                    Bicomplex(0.1, -0.2, 0.4, 0.0))
-        ov = overlap_with_vacuum(0.0, params, GEOM, table, rules)
-        assert ov.is_close(Bicomplex.one(), 0.0)
-
-    def test_unconstrained_bicomplex_phase(self, params, table):
-        rules = VacuumRules.generic(Bicomplex(0.02, 0.01, 0.005, -0.01),
-                                    Bicomplex(0.03, -0.02, 0.01, 0.0))
-        alpha, beta = overlap_phases(0.5, params, GEOM, table, rules)
-        assert alpha != 0.0 or beta != 0.0
-        ov = overlap_with_vacuum(0.5, params, GEOM, table, rules)
-        assert ov.is_close(exp_bicomplex(alpha, beta), 1e-14)
-        assert ov.modulus().is_close(Bicomplex.one(), 1e-10)
-
-    def test_phases_match_hand_sum(self, params, table):
-        rules = VacuumRules.generic(Bicomplex(0.2, 0.1, 0.0, 0.0),
-                                    Bicomplex(0.0, 0.0, 0.1, -0.3))
-        a = rules.lambda1.plus()
-        b = rules.lambda2.minus()
-        w_sum = sum(w * a + (w * b).conjugate()
-                    for _i, _j, w in hamiltonian_terms(params, GEOM, table))
-        alpha, beta = overlap_phases(2.0, params, GEOM, table, rules)
-        assert alpha == pytest.approx(2.0 * w_sum.real, rel=1e-12)
-        assert beta == pytest.approx(-2.0 * w_sum.imag, rel=1e-12)
 
 
 class TestNormPreservation:
