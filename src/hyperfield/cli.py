@@ -280,7 +280,10 @@ def cmd_commutator(args, cfg: dict) -> int:
             coeff = weighted_commutators("omega_pi", 1.0, params, table).coefficient
         rows = []
         for dx in sweep_grid(args.x_min, args.x_max, args.steps):
-            prof = lattice_delta_profile(dx, table, weight)
+            try:
+                prof = lattice_delta_profile(dx, table, weight)
+            except OverflowError as exc:  # float ** raises where * gives inf
+                raise ConfigError("the pi-pi sweep overflows squaring k") from exc
             val = (coeff * Bicomplex.from_complex(prof)).plus()
             rows.append((dx, val.real, val.imag))
     # a span, M^2 or table entry can overflow though each flag is finite

@@ -16,7 +16,8 @@ as OperatorPolys and contracts them term by term: both are linear in the
 ladder operators and every ladder commutator is a central ring scalar,
 so [A, B] = sum_pq a_p b_q [op_p, op_q] holds exactly, and the table
 leaves only the pairs on the momentum diagonal (rho) and anti-diagonal
-(sigma).  The cost is linear in the number of lattice modes.
+(sigma).  The table is read once per pattern of species, daggers and
+index relation; the rest of the cost is linear in the number of modes.
 
 Weighted variants use the 1/sqrt(omega_k) measure and swap the kernels
 around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
@@ -129,9 +130,15 @@ def _ladder_poly(x: float, t: float, params: FieldParams,
         w = omega(k, params)
         meas = dk / math.sqrt(w) if weighted else dk
         ph = cmath.exp(1j * (w * t - k * x))
-        for species, dagger, sector, coeff in entries(w, ph, damp, grow, meas):
-            poly._merged((ModeOp(species, i, dagger),),
-                         sector * Bicomplex.from_complex(coeff), out)
+        for species, dagger, (a, b, c, d), z in entries(w, ph, damp, grow, meas):
+            # sector * Bicomplex.from_complex(z) in Bicomplex.__mul__'s floats
+            e, f, g = z.real, z.imag, 0.0
+            poly._merged((tuple.__new__(ModeOp, (species, i, dagger)),),
+                         tuple.__new__(Bicomplex, (
+                             (a * e + c * g) - (b * f + d * g),
+                             (a * f + c * g) + (b * e + d * g),
+                             (a * g + c * e) - (b * g + d * f),
+                             (a * g + c * f) + (b * g + d * e))), out)
     return poly
 
 
@@ -180,7 +187,10 @@ def lattice_commutator(which: str, x: float, xprime: float, t: float,
     exactly, with no word products and no normal ordering.  The table
     makes [op_p, op_q] vanish unless q sits at p's momentum index (rho
     terms) or at its mirror, the index of momentum -k (sigma terms), so
-    each left term meets at most eight right terms: the cost is linear in
+    each left term meets at most eight right terms.  [op_p, op_q] depends
+    only on both species and daggers and on whether q's index equals or
+    mirrors p's, so operators.commutator runs once per such pattern, at
+    most 48 times at any lattice size; the rest of the cost is linear in
     the lattice size.  Raises ArithmeticError when an operand has a word
     that is not a single ladder operator, the case where the sum would
     not be central.
@@ -195,25 +205,32 @@ def _contraction_terms(which: str, x: float, xprime: float, t: float,
     """The nonzero terms a_p b_q [op_p, op_q] of lattice_commutator, in order."""
     if which == "omega_omega":
         left = field_operator_poly(x, t, params, table, weighted)
-        right = field_operator_poly(xprime, t, params, table, weighted).adjoint()
+        right = field_operator_poly(xprime, t, params, table, weighted)
     elif which == "pi_pi":
         left = momentum_operator_poly(x, t, params, table, weighted)
-        right = momentum_operator_poly(xprime, t, params, table, weighted).adjoint()
+        right = momentum_operator_poly(xprime, t, params, table, weighted)
     elif which == "omega_pi":
         left = field_operator_poly(x, t, params, table, weighted)
         right = momentum_operator_poly(xprime, t, params, table, weighted)
     else:
         raise ValueError(f"unknown commutator {which!r}")
     by_index: dict = {}
-    for op, b in _linear_terms(right):
-        by_index.setdefault(op.index, []).append((op, b))
+    for (species, j, dagger), b in _linear_terms(right):
+        if which != "omega_pi":    # the term of right.adjoint(), bit for bit
+            dagger, b = not dagger, b.conj()
+        by_index.setdefault(j, []).append((species, dagger, b))
+    decided: dict = {}    # pattern -> [op_p, op_q], or None where it is 0
     for op, a in _linear_terms(left):
-        i = op.index
+        species, i, dagger = op
         mirror = table.mirror_index(i)
         for j in ((i, mirror) if mirror != i else (i,)):
-            for op2, b in by_index.get(j, ()):
-                c = commutator(op, op2, table)
-                if not c.is_zero():
+            for species2, dagger2, b in by_index.get(j, ()):
+                key = (species, dagger, species2, dagger2, j == i, j == mirror)
+                if key not in decided:
+                    c = commutator(op, ModeOp(species2, j, dagger2), table)
+                    decided[key] = None if c.is_zero() else c
+                c = decided[key]
+                if c is not None:
                     yield a * b * c
 
 

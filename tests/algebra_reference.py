@@ -17,7 +17,9 @@ arithmetic, which the package runs on integers, and a broken product
 that fails it.  Last, the ring element
 built from its two idempotent sectors and the ring exponential through
 them, the oracle for ring.exp_bicomplex, and the ring element as the frozen
-dataclass that the package's immutable tuple replaced.  The package
+dataclass that the package's immutable tuple replaced.  And the lattice
+contraction that calls the commutator on every ladder pair, over
+operands whose terms are built as ring products.  The package
 computes none of these in production; the tests compare its results
 against them.
 """
@@ -32,6 +34,7 @@ from itertools import combinations_with_replacement
 
 from hypothesis import strategies as st
 
+import hyperfield.commutators as fc
 from hyperfield.errors import UndeterminedByAxioms
 from hyperfield.modes import omega
 from hyperfield.observables import (INFINITE_LINE, TWO_PI, _merge_all,
@@ -554,3 +557,58 @@ def _coerce_reference(value):
     if isinstance(value, complex):
         return BicomplexReference(value.real, value.imag, 0.0, 0.0)
     return NotImplemented
+
+
+def ladder_poly_reference(x: float, t: float, params,
+                          table: CommutationTable, weighted: bool,
+                          entries) -> OperatorPoly:
+    """commutators._ladder_poly with each term sector * from_complex(coeff)."""
+    damp = math.exp(-params.gamma * t / 2.0)
+    grow = math.exp(+params.gamma * t / 2.0)
+    dk = table.delta_k
+    out: dict = {}
+    poly = OperatorPoly(out)
+    for i in table.momentum_indices():
+        k = table.momentum(i)
+        w = omega(k, params)
+        meas = dk / math.sqrt(w) if weighted else dk
+        ph = cmath.exp(1j * (w * t - k * x))
+        for species, dagger, sector, coeff in entries(w, ph, damp, grow, meas):
+            poly._merged((ModeOp(species, i, dagger),),
+                         sector * Bicomplex.from_complex(coeff), out)
+    return poly
+
+
+def contraction_terms_reference(which: str, x: float, xprime: float, t: float,
+                                params, table: CommutationTable,
+                                weighted: bool):
+    """commutators._contraction_terms calling commutator on every pair.
+
+    The operands come from fc.field_operator_poly and
+    fc.momentum_operator_poly, so patching fc._ladder_poly with
+    ladder_poly_reference makes the whole route the reference one.
+    """
+    if which == "omega_omega":
+        left = fc.field_operator_poly(x, t, params, table, weighted)
+        right = fc.field_operator_poly(xprime, t, params, table,
+                                       weighted).adjoint()
+    elif which == "pi_pi":
+        left = fc.momentum_operator_poly(x, t, params, table, weighted)
+        right = fc.momentum_operator_poly(xprime, t, params, table,
+                                          weighted).adjoint()
+    elif which == "omega_pi":
+        left = fc.field_operator_poly(x, t, params, table, weighted)
+        right = fc.momentum_operator_poly(xprime, t, params, table, weighted)
+    else:
+        raise ValueError(f"unknown commutator {which!r}")
+    by_index: dict = {}
+    for op, b in fc._linear_terms(right):
+        by_index.setdefault(op.index, []).append((op, b))
+    for op, a in fc._linear_terms(left):
+        i = op.index
+        mirror = table.mirror_index(i)
+        for j in ((i, mirror) if mirror != i else (i,)):
+            for op2, b in by_index.get(j, ()):
+                c = commutator(op, op2, table)
+                if not c.is_zero():
+                    yield a * b * c

@@ -283,6 +283,8 @@ class TestConfig:
         ["commutator", "--which", "omega-pi", "--m", "1e200"],  # M^2 overflows
         [{"rho": [[1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
                   [-1e308, 0, 0, 0]]}, "commutator", "--which", "omega-omega"],
+        # the pi-pi weight squares momenta past the float range
+        [{"delta_k": 1e300}, "commutator", "--which", "pi-pi", "--steps", "3"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
@@ -293,7 +295,7 @@ class TestConfig:
             "asymptotic_order4_amplitudes_overflow",
             "asymptotic_norm_overflows", "sweep_x_min_nan",
             "sweep_span_overflows", "sweep_m2_overflows",
-            "sweep_rho_overflows"])
+            "sweep_rho_overflows", "sweep_momenta_square_overflows"])
     def test_malformed_flag_is_usage_error(self, tmp_path, tmp_path_factory,
                                            args):
         if isinstance(args[0], dict):

@@ -20,7 +20,7 @@ from hyperfield.commutators import (QuadratureSpec, _contraction_terms,
 from hyperfield.errors import DomainError, NonConvergent
 from hyperfield.modes import FieldParams, omega
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
-                                  generic_table, normal_order)
+                                  commutator, generic_table, normal_order)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
 from algebra_reference import commutator_with, scalar_part, small_tables
@@ -212,6 +212,31 @@ class TestLatticeContraction:
             scale = table.delta_k * sum(abs(w) for w in terms)
             got = lattice_commutator(which, x, xp, 2.5, p, table, weighted)
             assert (got - Bicomplex.from_complex(want)).norm() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("stagger", [False, True],
+                             ids=["unstaggered", "staggered"])
+    @pytest.mark.parametrize("which", ["omega_omega", "pi_pi", "omega_pi"])
+    def test_commutator_calls_do_not_grow_with_modes(self, monkeypatch, which,
+                                                     stagger):
+        # one call per (species, dagger, species, dagger, same index,
+        # mirrored index) pattern that occurs, at any lattice size
+        import hyperfield.commutators as fc
+        counted = []
+
+        def counting(op1, op2, table):
+            counted.append((op1, op2))
+            return commutator(op1, op2, table)
+        monkeypatch.setattr(fc, "commutator", counting)
+        calls = []
+        for n in (8, 32):
+            table = CommutationTable(rho=(Bicomplex(0.9, 0.2, 0.1, -0.3),) * 4,
+                                     sigma=SIGMA, delta_k=0.1, N=n,
+                                     stagger=stagger)
+            counted.clear()
+            lattice_commutator(which, 0.3, -0.8, 1.1,
+                               FieldParams(m=1.3, gamma=0.7), table)
+            calls.append(len(counted))
+        assert calls[0] == calls[1] <= 64
 
     @pytest.mark.parametrize("builder", ["field_operator_poly",
                                          "momentum_operator_poly"])

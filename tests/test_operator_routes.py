@@ -3,8 +3,9 @@
 Every term of pair_poly, hamiltonian_poly, charge_poly and normal_order
 is compared with tests/algebra_reference.py by float.hex of each
 component, in insertion order, and so is every vev component, every
-commutator of two ladder operators and every Hamiltonian weight.  Where
-a reference route raises, the production route raises the same error.
+commutator of two ladder operators, every Hamiltonian weight, and every
+term and value of the lattice field-commutator contraction.  Where a
+reference route raises, the production route raises the same error.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hyperfield.commutators as fc
 from hyperfield.errors import UndeterminedByAxioms
 from hyperfield.modes import FieldParams
 from hyperfield.observables import (GeometrySpec, charge_poly,
@@ -155,6 +157,47 @@ class TestRoutesMatchTheReference:
         got = vev_outcome(vev, h, rules, table)
         assert isinstance(got, tuple)
         assert got == vev_outcome(ref.vev_reference, h, rules, table)
+
+
+# exact zeros make real phases at x = t = 0, where signed zeros show
+POSITION = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
+
+
+class TestLatticeContractionMatchesTheReference:
+    """Patterns decided once give the every-pair contraction's bits."""
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("which", ["omega_omega", "pi_pi", "omega_pi"])
+    @PROPERTY
+    @given(tables(), st.floats(0.6, 2.0), st.floats(0.0, 1.0), POSITION,
+           POSITION, st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    @example(  # unstaggered, so index 0 is its own mirror; complex rho, sigma
+        CommutationTable(rho=(Bicomplex.from_complex(0.9 + 0.2j),
+                              Bicomplex.zero(), Bicomplex(0.1, -0.3, 0.4, 0.2),
+                              Bicomplex.from_complex(-0.4 + 0.7j)),
+                         sigma=(Bicomplex(0.3, 0.1, -0.2, 0.05),
+                                Bicomplex.zero(),
+                                Bicomplex.from_complex(-0.2j),
+                                Bicomplex(-0.7, 0.0, 0.3, 0.1)),
+                         delta_k=0.3, N=2),
+        1.3, 0.7, 0.0, -0.8, 0.0)
+    def test_terms_and_value(self, which, weighted, table, m, g, x, xp, t):
+        args = (which, x, xp, t, FieldParams(m=m, gamma=g * m), table,
+                weighted)
+        operands = (fc.field_operator_poly(x, t, *args[4:]),
+                    fc.momentum_operator_poly(xp, t, *args[4:]))
+        terms = [bits(c) for c in fc._contraction_terms(*args)]
+        value = bits(fc.lattice_commutator(*args))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fc, "_ladder_poly", ref.ladder_poly_reference)
+            assert [term_bits(p) for p in operands] == [
+                term_bits(fc.field_operator_poly(x, t, *args[4:])),
+                term_bits(fc.momentum_operator_poly(xp, t, *args[4:]))]
+            assert terms == [bits(c) for c in
+                             ref.contraction_terms_reference(*args)]
+            assert value == bits(sum(ref.contraction_terms_reference(*args),
+                                     Bicomplex.zero()))
 
 
 RHO = (Bicomplex(0.9, 0.2, 0.1, -0.3), Bicomplex(-0.4, 0.3, 0.7, 0.05),
