@@ -45,7 +45,7 @@ from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1, y1 as _scipy_y1
 from .errors import DomainError, NonConvergent
 from .modes import FieldParams, omega
 from .operators import CommutationTable, ModeOp, OperatorPoly, commutator
-from .ring import Bicomplex, J_MINUS, J_PLUS
+from .ring import Bicomplex, J_MINUS, J_PLUS, in_sector
 
 
 def bessel_k(order: int, z: float) -> float:
@@ -116,9 +116,10 @@ def _ladder_poly(x: float, t: float, params: FieldParams,
     """Sum over the lattice modes of single-ladder terms.
 
     entries(w, ph, damp, grow, meas) returns a mode's four (species,
-    dagger, sector, coefficient) terms, given w = omega_k, ph = e^{i th}
-    with th = omega_k t - k x, damp = e^{-gamma t/2}, grow = e^{+gamma t/2}
-    and the measure meas (delta_k, over sqrt(omega_k) when weighted).
+    dagger, plus, coefficient) terms, the coefficient in the J+ sector if
+    plus else J-, given w = omega_k, ph = e^{i th} with th = omega_k t - k x,
+    damp = e^{-gamma t/2}, grow = e^{+gamma t/2} and the measure meas
+    (delta_k, over sqrt(omega_k) when weighted).
     """
     damp = math.exp(-params.gamma * t / 2.0)
     grow = math.exp(+params.gamma * t / 2.0)
@@ -130,15 +131,9 @@ def _ladder_poly(x: float, t: float, params: FieldParams,
         w = omega(k, params)
         meas = dk / math.sqrt(w) if weighted else dk
         ph = cmath.exp(1j * (w * t - k * x))
-        for species, dagger, (a, b, c, d), z in entries(w, ph, damp, grow, meas):
-            # sector * Bicomplex.from_complex(z) in Bicomplex.__mul__'s floats
-            e, f, g = z.real, z.imag, 0.0
+        for species, dagger, plus, z in entries(w, ph, damp, grow, meas):
             poly._merged((tuple.__new__(ModeOp, (species, i, dagger)),),
-                         tuple.__new__(Bicomplex, (
-                             (a * e + c * g) - (b * f + d * g),
-                             (a * f + c * g) + (b * e + d * g),
-                             (a * g + c * e) - (b * g + d * f),
-                             (a * g + c * f) + (b * g + d * e))), out)
+                         in_sector(plus, z), out)
     return poly
 
 
@@ -153,8 +148,8 @@ def field_operator_poly(x: float, t: float, params: FieldParams,
     """
     def entries(w, ph, damp, grow, meas):
         dp, dm = damp * meas, grow * meas
-        return (("a1", False, J_PLUS, dp * ph), ("a2", True, J_PLUS, dp / ph),
-                ("b1", True, J_MINUS, dm * ph), ("b2", False, J_MINUS, dm / ph))
+        return (("a1", False, True, dp * ph), ("a2", True, True, dp / ph),
+                ("b1", True, False, dm * ph), ("b2", False, False, dm / ph))
     return _ladder_poly(x, t, params, table, weighted, entries)
 
 
@@ -168,8 +163,8 @@ def momentum_operator_poly(x: float, t: float, params: FieldParams,
     """
     def entries(w, ph, damp, grow, meas):
         cp, cm = -1j * w * grow * meas, -1j * w * damp * meas
-        return (("b1", False, J_PLUS, cp / ph), ("b2", True, J_PLUS, -cp * ph),
-                ("a1", True, J_MINUS, cm / ph), ("a2", False, J_MINUS, -cm * ph))
+        return (("b1", False, True, cp / ph), ("b2", True, True, -cp * ph),
+                ("a1", True, False, cm / ph), ("a2", False, False, -cm * ph))
     return _ladder_poly(x, t, params, table, weighted, entries)
 
 

@@ -18,7 +18,7 @@ from .modes import (FieldParams, ModeSolution, field_space_derivative,
                     field_time_derivative, field_value, omega)
 from .operators import (CommutationTable, OperatorPoly, VacuumRules,
                         pair_poly, vev)
-from .ring import Bicomplex, J_MINUS, J_PLUS, J_UNIT
+from .ring import Bicomplex, J_UNIT, in_sector
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,13 +118,12 @@ def hamiltonian_poly(params: FieldParams, geom: GeometrySpec,
     """
     total = OperatorPoly.zero()
     for i, j, w in hamiltonian_terms(params, geom, table, t):
-        c = Bicomplex.from_complex(w)
-        cc = Bicomplex.from_complex(w.conjugate())
+        wc = w.conjugate()
         _merge_all(total, (
-            pair_poly(("a1", "b1"), i, j, J_PLUS * c),
-            pair_poly(("b2", "a2"), j, i, J_MINUS * c),
-            pair_poly(("a1", "b1"), i, j, J_MINUS * cc, True),
-            pair_poly(("b2", "a2"), j, i, J_PLUS * cc, True)))
+            pair_poly(("a1", "b1"), i, j, in_sector(True, w)),
+            pair_poly(("b2", "a2"), j, i, in_sector(False, w)),
+            pair_poly(("a1", "b1"), i, j, in_sector(False, wc), True),
+            pair_poly(("b2", "a2"), j, i, in_sector(True, wc), True)))
     return total
 
 
@@ -139,12 +138,12 @@ def charge_poly(params: FieldParams, table: CommutationTable) -> OperatorPoly:
     dk = table.delta_k
     for i in table.momentum_indices():
         w = omega(table.momentum(i), params)
-        c = Bicomplex.from_complex(-2j * dk * w)
+        c, mc = -2j * dk * w, 2j * dk * w
         _merge_all(total, (
-            pair_poly(("a1", "b1"), i, i, J_PLUS * c),
-            pair_poly(("a1", "b1"), i, i, J_MINUS * c, True),
-            pair_poly(("b2", "a2"), i, i, J_PLUS * (-1.0 * c), True),
-            pair_poly(("b2", "a2"), i, i, J_MINUS * (-1.0 * c))))
+            pair_poly(("a1", "b1"), i, i, in_sector(True, c)),
+            pair_poly(("a1", "b1"), i, i, in_sector(False, c), True),
+            pair_poly(("b2", "a2"), i, i, in_sector(True, mc), True),
+            pair_poly(("b2", "a2"), i, i, in_sector(False, mc))))
     return total
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import UndeterminedByAxioms
-from .ring import Bicomplex, J_MINUS, J_PLUS
+from .ring import Bicomplex, in_sector
 
 _RANK = {"a1": 0, "b1": 1, "a2": 2, "b2": 3}
 _A_FAMILY = {"a1", "a2"}
@@ -210,7 +210,7 @@ def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
     """Weighted anticommutator coeff {s1(k), s2(k')}, both daggered or not.
 
     species_pair is a tuple like ("a1", "b1"); coeff is a ring element,
-    such as J_PLUS or J_MINUS times a Hamiltonian weight.  The words
+    such as a Hamiltonian weight in one sector (ring.in_sector).  The words
     s1 s2 and s2 s1 each carry coeff * 1; the same op given twice makes
     one word with coeff * 2.
     """
@@ -290,8 +290,7 @@ class VacuumRules:
     @staticmethod
     def constrained_rules(c1=0.0, c2=0.0) -> "VacuumRules":
         """lambda1 = J- c1, lambda2 = J+ c2: the vev-cancelling choice."""
-        return VacuumRules(J_MINUS * Bicomplex.from_complex(c1),
-                           J_PLUS * Bicomplex.from_complex(c2), True)
+        return VacuumRules(in_sector(False, c1), in_sector(True, c2), True)
 
     @staticmethod
     def generic(lambda1, lambda2) -> "VacuumRules":
@@ -403,16 +402,9 @@ def vev(poly: OperatorPoly, rules: VacuumRules,
     for (word, coeff), norm in zip(ordered.terms.items(), norms):
         if norm <= 1e-14 * scale:
             continue  # rounding residue of cancelling sector products
-        for plus, cs, j in ((True, coeff.plus(), J_PLUS),
-                            (False, coeff.minus(), J_MINUS)):
+        for plus, cs in ((True, coeff.plus()), (False, coeff.minus())):
             if cs != 0:
-                z = cs * _sector_vev(word, plus, lambdas, table)
-                # adds j * Bicomplex.from_complex(z) with the grouping of
-                # Bicomplex.__mul__, whose g and h are z's zero j-parts
-                a, b, c, d = j
-                e, f, g = z.real, z.imag, 0.0
-                sx += (a * e + c * g) - (b * f + d * g)
-                sy += (a * f + c * g) + (b * e + d * g)
-                su += (a * g + c * e) - (b * g + d * f)
-                sv += (a * g + c * f) + (b * g + d * e)
+                x, y, u, v = in_sector(
+                    plus, cs * _sector_vev(word, plus, lambdas, table))
+                sx, sy, su, sv = sx + x, sy + y, su + u, sv + v
     return Bicomplex(sx, sy, su, sv)

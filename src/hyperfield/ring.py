@@ -166,6 +166,22 @@ J_PLUS = Bicomplex(0.5, 0.0, 0.5, 0.0)
 J_MINUS = Bicomplex(0.5, 0.0, -0.5, 0.0)
 
 
+def in_sector(plus: bool, z) -> Bicomplex:
+    """(J_PLUS if plus else J_MINUS) * Bicomplex.from_complex(z), bit for bit.
+
+    Bicomplex.__mul__'s float operations with J's zero and half parts
+    folded in, so signed zeros and the NaN of inf * 0 come out as the
+    product's.  z is a complex or real scalar.
+    """
+    e, f = (z.real, z.imag) if isinstance(z, complex) else (z, 0.0)
+    ze, zf = 0.0 * e + 0.0, 0.0 * f + 0.0
+    if plus:
+        x, y = (0.5 * e + 0.0) - zf, (0.5 * f + 0.0) + ze
+        return _new(Bicomplex, (x, y, x, y))
+    return _new(Bicomplex, (0.5 * e - zf, 0.5 * f + ze,
+                            (0.0 + -0.5 * e) - zf, (0.0 + -0.5 * f) + ze))
+
+
 def idempotents_exact():
     """J+ and J- with exact rational components (halves), as Fractions."""
     half = Fraction(1, 2)

@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import DomainError, PoleAtZeroMomentum, TruncationOrderTooLarge
 from .modes import FieldParams, omega
-from .observables import (FINITE_INTERVAL, GeometrySpec, geometry_kernel,
-                          h_gamma, hamiltonian_terms)
+from .observables import (FINITE_INTERVAL, TWO_PI, GeometrySpec,
+                          geometry_kernel, h_gamma, hamiltonian_terms)
 from .operators import CommutationTable
-from .ring import Bicomplex, J_MINUS, J_PLUS
-
-TWO_PI = 2.0 * math.pi
+from .ring import Bicomplex, J_MINUS, J_PLUS, in_sector
 
 TAG_MIRROR = "2ba"    # J+ sector: pairs of b2+, a2+ quanta (environment copy)
 TAG_SYSTEM = "1ab"    # J- sector: pairs of a1+, b1+ quanta (subsystem)
@@ -114,6 +112,7 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
                          for flag in (0, 1)}.items())
         if not labels:
             continue
+        plus = tag == TAG_MIRROR
         # degree n extends each degree n - 1 prefix, zero amplitudes too, by
         # every label at or after its last: combinations_with_replacement
         # order and left-to-right products.  A prefix is (key, index of its
@@ -134,23 +133,9 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
                     combo = key + (name,)
                     if n < order:
                         grown.append((combo, idx, scalar, mult, run))
-                    w = scalar / mult
-                    e, f = w.real, w.imag
-                    # J+ or J- times e + i f, written out: Bicomplex.__mul__'s
-                    # float operations with the zero parts folded in, so signed
-                    # zeros and the NaN of inf * 0 come out bit for bit
-                    ze, zf = 0.0 * e + 0.0, 0.0 * f + 0.0
-                    if tag == TAG_MIRROR:
-                        x = (0.5 * e + 0.0) - zf
-                        y = (0.5 * f + 0.0) + ze
-                        u, v = x, y
-                    else:
-                        x = 0.5 * e - zf
-                        y = 0.5 * f + ze
-                        u = (0.0 - 0.5 * e) - zf
-                        v = (0.0 - 0.5 * f) + ze
-                    if x or y or u or v:
-                        amps[combo] = tuple.__new__(Bicomplex, (x, y, u, v))
+                    amp = in_sector(plus, scalar / mult)
+                    if any(amp):
+                        amps[combo] = amp
             prefixes = grown
     return StateVector(amps, order)
 

@@ -562,7 +562,7 @@ def _coerce_reference(value):
 def ladder_poly_reference(x: float, t: float, params,
                           table: CommutationTable, weighted: bool,
                           entries) -> OperatorPoly:
-    """commutators._ladder_poly with each term sector * from_complex(coeff)."""
+    """commutators._ladder_poly with each term J+- * from_complex(coeff)."""
     damp = math.exp(-params.gamma * t / 2.0)
     grow = math.exp(+params.gamma * t / 2.0)
     dk = table.delta_k
@@ -573,7 +573,8 @@ def ladder_poly_reference(x: float, t: float, params,
         w = omega(k, params)
         meas = dk / math.sqrt(w) if weighted else dk
         ph = cmath.exp(1j * (w * t - k * x))
-        for species, dagger, sector, coeff in entries(w, ph, damp, grow, meas):
+        for species, dagger, plus, coeff in entries(w, ph, damp, grow, meas):
+            sector = J_PLUS if plus else J_MINUS
             poly._merged((ModeOp(species, i, dagger),),
                          sector * Bicomplex.from_complex(coeff), out)
     return poly

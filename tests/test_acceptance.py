@@ -143,6 +143,56 @@ def test_state_defect_fails_criterion_8(monkeypatch, seed_defect, failing):
                 == (name in failing))
 
 
+def _scaled_k1(monkeypatch):
+    k1 = fc._scipy_k1
+    monkeypatch.setattr(fc, "_scipy_k1", lambda z: k1(z) * (1.0 + 1e-5))
+
+
+def _plus_m2_delta_coefficient(monkeypatch):
+    def seeded(table, params):
+        coeff = fc.difference_bracket(table)
+        return fc.CommutatorResult(
+            coeff, delta_coeff=coeff * Bicomplex.from_complex(params.m2_mod),
+            delta2_coeff=coeff)
+    monkeypatch.setattr(fc, "commutator_pi_pidagger", seeded)
+
+
+def _swapped_project_view(monkeypatch):
+    view = vf.project_view
+    monkeypatch.setattr(vf, "project_view", lambda state, side: view(
+        state, "minus" if side == "plus" else "plus"))
+
+
+def _closed_form_doubled_beyond_10(monkeypatch):
+    closed = fc.commutator_omega_pi_closed
+
+    def seeded(delta_x, params, table):
+        value = closed(delta_x, params, table)
+        return 2.0 * value if abs(delta_x) > 10.0 else value
+    monkeypatch.setattr(fc, "commutator_omega_pi_closed", seeded)
+
+
+@pytest.mark.parametrize("seed_defect, cid, failing", [
+    (_scaled_k1, 4, {"unweighted worst relative error",
+                     "weighted worst relative error"}),
+    (_plus_m2_delta_coefficient, 5,
+     {"|m=0 delta coefficient - gamma^2/4 bracket|"}),
+    (_swapped_project_view, 11, {"plus-view kets with other tags",
+                                 "minus-view kets with other tags"}),
+    (_closed_form_doubled_beyond_10, 12, {"fig1 non-decreasing steps"})],
+    ids=["k1_scaled_1e-5", "plus_m2_delta_coefficient", "swapped_views",
+         "closed_form_doubled_beyond_dx_10"])
+def test_seeded_defect_fails_only_its_criterion(monkeypatch, seed_defect,
+                                                cid, failing):
+    seed_defect(monkeypatch)
+    reports = vf.run_all()
+    for report in reports:
+        _assert_derived(report)
+    assert [r["id"] for r in reports if not r["passed"]] == [cid]
+    assert {c["name"] for c in reports[cid - 1]["checks"]
+            if not c["passed"]} == failing
+
+
 def test_inexact_gamma_fails_criterion_2(monkeypatch):
     # Gamma one ulp off -/+ gamma/2: too small for the residual to see, but
     # the criterion compares it with -/+ gamma/2 written out on its own

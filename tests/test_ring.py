@@ -12,7 +12,8 @@ import algebra_reference as ref
 from hyperfield import cli
 from hyperfield import verification as vf
 from hyperfield.ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS,
-                             J_UNIT, exp_bicomplex, idempotents_exact)
+                             J_UNIT, exp_bicomplex, idempotents_exact,
+                             in_sector)
 
 
 def rand_elem(rng):
@@ -380,6 +381,21 @@ class TestAgainstFrozenDataclass:
         assert (a == b) == (a_ref == b_ref)
         assert (a == Bicomplex(*left)) == (a_ref == ref.BicomplexReference(*left))
         assert (a == scalar) == (a_ref == scalar)
+
+
+class TestInSector:
+    """in_sector(plus, z) has the bits of J+ or J- times the embedded z."""
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(st.booleans(), st.one_of(
+        st.builds(complex, SPECIAL, SPECIAL), SPECIAL, st.complex_numbers(),
+        st.floats(), st.integers(-10**6, 10**6),
+        st.sampled_from([10**400, -10**400])))
+    def test_same_bits_as_the_ring_product(self, plus, z):
+        sector = J_PLUS if plus else J_MINUS
+        assert outcome(in_sector, plus, z) == outcome(
+            lambda: sector * Bicomplex.from_complex(z))
 
 
 class TestValueSemantics:
