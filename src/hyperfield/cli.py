@@ -1,9 +1,9 @@
 """Command-line front end: figure CSVs, state dumps, property suites.
 
 Verbs: ring-check, commutator, evolve, asymptotic, verify.  A JSON config
-file supplies defaults (field parameters, lattice, rho table); explicit
-flags override config keys and go through the same checks.  Exit codes:
-0 pass, 1 criterion/property failure, 2 usage or config error.
+(field parameters, lattice, rho table) supplies defaults that flags
+override; both pass the same checks.  Exit 0 on success, 1 only when a
+property or criterion fails, 2 on a refused input (one error line, no file).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import verification
 from .commutators import (commutator_omega_omegadagger, commutator_pi_pidagger,
                           figure_data, lattice_delta_profile, sweep_grid,
                           weighted_commutators)
-from .errors import DomainError, HyperfieldError
+from .errors import HyperfieldError
 from .modes import FieldParams
 from .observables import GeometrySpec
 from .operators import CommutationTable
@@ -42,7 +42,7 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(HyperfieldError):
     pass
 
 
@@ -263,11 +263,8 @@ def cmd_commutator(args, cfg: dict) -> int:
     if not (_is_real(args.x_min) and _is_real(args.x_max)):
         raise ConfigError("--x-min and --x-max must be finite numbers")
     if args.which in _FIGURE_OF:
-        try:
-            rows = figure_data(_FIGURE_OF[args.which],
-                               (args.x_min, args.x_max, args.steps), params, table)
-        except DomainError as exc:  # a grid through dx = 0, or M^2 <= 0
-            raise ConfigError(str(exc)) from exc
+        rows = figure_data(_FIGURE_OF[args.which],
+                           (args.x_min, args.x_max, args.steps), params, table)
     else:
         # delta-type kernels: emit coefficient times the lattice delta profile
         weight = None
@@ -306,10 +303,7 @@ def cmd_evolve(args, cfg: dict) -> int:
         raise ConfigError("--t must be a finite number")
     geom = _geometry(cfg)
     order = cfg["truncation_order"]
-    try:
-        state = evolve_vacuum(args.t, order, params, geom, table)
-    except DomainError as exc:  # a finite interval whose phases q L overflow
-        raise ConfigError(str(exc)) from exc
+    state = evolve_vacuum(args.t, order, params, geom, table)
     dev, out, rank = _dump_state(state, table, args, cfg, "evolved",
                                   f"--t {args.t:g}")
     print(f"t={args.t} order={order} kets={len(state.amplitudes)} "
@@ -419,12 +413,10 @@ def main(argv=None) -> int:
                 "verify": cmd_verify}
     try:
         return commands[args.verb](args, load_config(args))
-    except ConfigError as exc:
+    except HyperfieldError as exc:  # a refused input: no verb reaches
+        # NonConvergent or UndeterminedByAxioms; run_all catches what criteria raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HyperfieldError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -128,12 +128,6 @@ class TestEvolve:
         assert "diverges" in r.stderr
         assert (tmp_path / "evolved_state.json").exists()
 
-    def test_truncation_cap_surfaced(self, tmp_path):
-        r = run_cli(["evolve", "--t", "1", "--order", "5", "--geometry",
-                     "finite", "--L1", "-1", "--L2", "1"], tmp_path)
-        assert r.returncode == 1
-        assert "TruncationOrderTooLarge" in r.stderr
-
 
 class TestStateWriter:
     """The streaming state dump against json.dumps(indent=2, sort_keys=True)."""
@@ -285,6 +279,14 @@ class TestConfig:
                   [-1e308, 0, 0, 0]]}, "commutator", "--which", "omega-omega"],
         # the pi-pi weight squares momenta past the float range
         [{"delta_k": 1e300}, "commutator", "--which", "pi-pi", "--steps", "3"],
+        # typed package errors: an unstaggered lattice holds k = 0, M^2 < 0
+        # makes an IR-cutoff momentum imaginary, and the basis passes its cap
+        [{"stagger": False}, "asymptotic", "--geometry", "finite",
+         "--order", "1"],
+        [{"m": 0.1, "gamma": 1.0}, "evolve", "--t", "0.1", "--order", "1"],
+        [{"m": 0.1, "gamma": 1.0}, "asymptotic", "--geometry", "infinite"],
+        ["evolve", "--t", "1", "--order", "5", "--geometry", "finite",
+         "--L1", "-1", "--L2", "1"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
@@ -295,7 +297,9 @@ class TestConfig:
             "asymptotic_order4_amplitudes_overflow",
             "asymptotic_norm_overflows", "sweep_x_min_nan",
             "sweep_span_overflows", "sweep_m2_overflows",
-            "sweep_rho_overflows", "sweep_momenta_square_overflows"])
+            "sweep_rho_overflows", "sweep_momenta_square_overflows",
+            "pole_at_zero_momentum", "evolve_imaginary_frequency",
+            "asymptotic_imaginary_frequency", "truncation_cap"])
     def test_malformed_flag_is_usage_error(self, tmp_path, tmp_path_factory,
                                            args):
         if isinstance(args[0], dict):
