@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .modes import (FieldParams, ModeSolution, field_space_derivative,
                     field_time_derivative, field_value, omega)
-from .operators import (CommutationTable, OperatorPoly, VacuumRules,
-                        pair_poly, vev)
+from .operators import (CommutationTable, ModeOp, OperatorPoly, VacuumRules,
+                        merge_pair, vev)
 from .ring import Bicomplex, J_UNIT, in_sector
 
 TWO_PI = 2.0 * math.pi
@@ -117,13 +117,15 @@ def hamiltonian_poly(params: FieldParams, geom: GeometrySpec,
     No damping factor enters: the idempotent projectors cancel them.
     """
     total = OperatorPoly.zero()
+    ops = _site_ops(table)
     for i, j, w in hamiltonian_terms(params, geom, table, t):
         wc = w.conjugate()
-        _merge_all(total, (
-            pair_poly(("a1", "b1"), i, j, in_sector(True, w)),
-            pair_poly(("b2", "a2"), j, i, in_sector(False, w)),
-            pair_poly(("a1", "b1"), i, j, in_sector(False, wc), True),
-            pair_poly(("b2", "a2"), j, i, in_sector(True, wc), True)))
+        a1, a2, a1d, a2d = ops[i][0::2]
+        b1, b2, b1d, b2d = ops[j][1::2]
+        merge_pair(total, a1, b1, in_sector(True, w))
+        merge_pair(total, b2, a2, in_sector(False, w))
+        merge_pair(total, a1d, b1d, in_sector(False, wc))
+        merge_pair(total, b2d, a2d, in_sector(True, wc))
     return total
 
 
@@ -136,26 +138,21 @@ def charge_poly(params: FieldParams, table: CommutationTable) -> OperatorPoly:
     """
     total = OperatorPoly.zero()
     dk = table.delta_k
-    for i in table.momentum_indices():
+    for i, (a1, b1, a2, b2, a1d, b1d, a2d, b2d) in _site_ops(table).items():
         w = omega(table.momentum(i), params)
         c, mc = -2j * dk * w, 2j * dk * w
-        _merge_all(total, (
-            pair_poly(("a1", "b1"), i, i, in_sector(True, c)),
-            pair_poly(("a1", "b1"), i, i, in_sector(False, c), True),
-            pair_poly(("b2", "a2"), i, i, in_sector(True, mc), True),
-            pair_poly(("b2", "a2"), i, i, in_sector(False, mc))))
+        merge_pair(total, a1, b1, in_sector(True, c))
+        merge_pair(total, a1d, b1d, in_sector(False, c))
+        merge_pair(total, b2d, a2d, in_sector(True, mc))
+        merge_pair(total, b2, a2, in_sector(False, mc))
     return total
 
 
-def _merge_all(total: OperatorPoly, parts) -> None:
-    """Add each part's terms into total's own dict, in order.
-
-    Gives the terms and insertion order of total + part + ..., without
-    copying the running sum on every addition.
-    """
-    for part in parts:
-        for word, coeff in part.terms.items():
-            total._merged(word, coeff, total.terms)
+def _site_ops(table: CommutationTable) -> dict:
+    """index -> (a1, b1, a2, b2, then the four daggered), built once."""
+    return {i: tuple(ModeOp(s, i, dagger) for dagger in (False, True)
+                     for s in ("a1", "b1", "a2", "b2"))
+            for i in table.momentum_indices()}
 
 
 def charge_density_classical(phi1: float, phi2: float, psi1: float, psi2: float,

@@ -215,13 +215,26 @@ def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
     one word with coeff * 2.
     """
     s1, s2 = species_pair
-    o1 = ModeOp(s1, k_index, dagger)
-    o2 = ModeOp(s2, kp_index, dagger)
-    c = Bicomplex.from_complex(coeff)
+    poly = OperatorPoly.zero()
+    merge_pair(poly, ModeOp(s1, k_index, dagger), ModeOp(s2, kp_index, dagger),
+               Bicomplex.from_complex(coeff))
+    return poly
+
+
+def merge_pair(into: OperatorPoly, o1: ModeOp, o2: ModeOp,
+               c: Bicomplex) -> None:
+    """Merge the terms of c {o1, o2} into the polynomial `into`, in order.
+
+    The one route for a weighted anticommutator: pair_poly builds its
+    polynomial here, and hamiltonian_poly and charge_poly write each pair
+    straight into their running sums.
+    """
     if c.is_zero():
-        return OperatorPoly.zero()
+        return
+    terms = into.terms
     if o1 == o2:
-        return OperatorPoly({(o1, o2): c * Bicomplex(2.0)})
+        into._merged((o1, o2), c * Bicomplex(2.0), terms)
+        return
     # c * (1, 0, 0, 0) written out, Bicomplex.__mul__'s float operations
     # kept: its zero products turn -0.0 into +0.0 and inf into NaN
     a, b, g, d = c
@@ -229,41 +242,66 @@ def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
     zag, zbd = za + zg, zb + zd
     one = tuple.__new__(Bicomplex, ((a * 1.0 + zg) - zbd, zag + (b * 1.0 + zd),
                                     (za + g * 1.0) - zbd, zag + (zb + d * 1.0)))
-    return OperatorPoly({(o1, o2): one, (o2, o1): one})
+    into._merged((o1, o2), one, terms)
+    into._merged((o2, o1), one, terms)
+
+
+def _pattern_key(o1: ModeOp, o2: ModeOp, mirror_sum: int) -> tuple:
+    """What commutator(o1, o2) reads of two ops: species and daggers, and
+    whether the indices are equal or mirrored (i + i' == mirror_sum)."""
+    s1, i1, d1 = o1
+    s2, i2, d2 = o2
+    return (s1, d1, s2, d2, i1 == i2, i1 + i2 == mirror_sum)
 
 
 def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
     """Rewrite into canonical order (daggers left, species rank, momentum).
 
     All commutators are central, so each transposition splits a word into
-    the swapped word plus a shorter word; the rewriting terminates.
+    the swapped word plus a shorter word; the rewriting terminates.  The
+    table is read once per pattern of two ops per call (_pattern_key);
+    an out-of-order two-op word is rewritten in closed form, merging
+    the central term and then the swapped word, the order in which the
+    stack would pop them.
     """
     out: dict = {}
     result = OperatorPoly(out)
+    merged = result._merged
     keys: dict = {}     # each op's sort key, computed once per call
+    centrals: dict = {}  # pattern -> commutator value, once per call
+    mirror_sum = table.mirror_index(0)
     stack = list(poly.terms.items())
     while stack:
         word, coeff = stack.pop()
         if coeff.is_zero():
             continue
-        swap_at = -1
-        for i, op in enumerate(word):
+        i = -1
+        for j, op in enumerate(word):
             key = keys.get(op)
             if key is None:
                 key = keys[op] = op.sort_key()
-            if i and prev > key:
-                swap_at = i - 1
+            if j and prev > key:
+                i = j - 1
                 break
             prev = key
-        if swap_at < 0:
-            result._merged(word, coeff, out)
+        if i < 0:
+            merged(word, coeff, out)
             continue
-        i = swap_at
-        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-        stack.append((swapped, coeff))
-        central = commutator(word[i], word[i + 1], table)
-        if not central.is_zero():
-            stack.append((word[:i] + word[i + 2:], coeff * central))
+        o1, o2 = word[i], word[i + 1]
+        pattern = _pattern_key(o1, o2, mirror_sum)
+        c = centrals.get(pattern)
+        if c is None:
+            c = centrals[pattern] = commutator(o1, o2, table)
+        if len(word) == 2:  # closed form: the stack's two pops, in order
+            if not c.is_zero():
+                c = coeff * c
+                if not c.is_zero():
+                    merged((), c, out)
+            merged((o2, o1), coeff, out)
+            continue
+        stack.append((word[:i] + (o2, o1) + word[i + 2:], coeff))
+        if not c.is_zero():
+            stack.append((word[:i] + word[i + 2:], coeff * c))
     return result
 
 
@@ -391,20 +429,30 @@ def vev(poly: OperatorPoly, rules: VacuumRules,
     functional on the normal-form basis makes it a well-defined linear
     functional on the algebra -- the pair eigen-rules for different
     momentum pairs do not commute, so word-by-word evaluation of an
-    arbitrary presentation would be ordering-dependent.  Raises
-    UndeterminedByAxioms outside the evaluable fragment.
+    arbitrary presentation would be ordering-dependent.  A two-op word's
+    sector value is computed once per (sector, _pattern_key) per call.
+    Raises UndeterminedByAxioms outside the evaluable fragment.
     """
     ordered = normal_order(poly, table)
     norms = [coeff.norm() for coeff in ordered.terms.values()]
     scale = max(norms, default=0.0)    # the value of ordered.max_norm()
     lambdas = (rules.lambda1.plus(), rules.lambda2.minus())
+    values: dict = {}  # (sector, pattern) -> a two-op word's sector vev
+    mirror_sum = table.mirror_index(0)
     sx = sy = su = sv = 0.0
     for (word, coeff), norm in zip(ordered.terms.items(), norms):
         if norm <= 1e-14 * scale:
             continue  # rounding residue of cancelling sector products
+        pattern = _pattern_key(*word, mirror_sum) if len(word) == 2 else None
         for plus, cs in ((True, coeff.plus()), (False, coeff.minus())):
             if cs != 0:
-                x, y, u, v = in_sector(
-                    plus, cs * _sector_vev(word, plus, lambdas, table))
+                if pattern is None:
+                    val = _sector_vev(word, plus, lambdas, table)
+                else:
+                    val = values.get((plus, pattern))
+                    if val is None:
+                        val = values[plus, pattern] = _sector_vev(
+                            word, plus, lambdas, table)
+                x, y, u, v = in_sector(plus, cs * val)
                 sx, sy, su, sv = sx + x, sy + y, su + u, sv + v
     return Bicomplex(sx, sy, su, sv)

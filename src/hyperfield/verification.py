@@ -21,9 +21,10 @@ import traceback
 from . import commutators as fc
 from . import states as st
 from .modes import FieldParams, eom_residual, field_value, make_mode, omega
-from .observables import (GeometrySpec, h_gamma, hamiltonian_terms, vev_H,
-                          vev_Q)
-from .operators import CommutationTable, VacuumRules, generic_table
+from .observables import (GeometrySpec, charge_poly, h_gamma, hamiltonian_poly,
+                          hamiltonian_terms)
+from .operators import (CommutationTable, OperatorPoly, VacuumRules,
+                        generic_table, normal_order, vev)
 from .ring import Bicomplex, idempotents_exact
 from .states import (asymptotic_state_finite, asymptotic_state_infinite,
                      evolve_vacuum, norm_preservation, project_view,
@@ -313,23 +314,35 @@ def criterion_6_factor_five() -> dict:
 def criterion_7_vev_cancellation(table: CommutationTable | None = None) -> dict:
     table = table or CommutationTable(delta_k=0.1, N=16, stagger=True)  # 32 modes
     p = FieldParams(m=1.0, gamma=0.5)
-    geom = GeometrySpec("infinite_line")
+    h = hamiltonian_poly(p, GeometrySpec("infinite_line"), table)
+    q = charge_poly(p, table)
     rules_c = VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j)
-    vh = vev_H(p, geom, table, rules_c)
-    vq = vev_Q(p, table, rules_c)
     rules_u = VacuumRules.generic(Bicomplex(0.3, 0.4, 0.1, -0.2),
                                   Bicomplex(-0.1, 0.8, 0.3, 0.05))
-    vh_u = vev_H(p, geom, table, rules_u)
-    vq_u = vev_Q(p, table, rules_u)
+    vh, vq, vh_u, vq_u = (vev(poly, rules, table)
+                          for rules in (rules_c, rules_u) for poly in (h, q))
     # zero up to rounding of the canonical-basis functional, relative to
-    # the generic-eigenvalue scale of the same sums
+    # the generic-eigenvalue scale of the same sums; H Hermitian and Q
+    # anti-Hermitian relative to their largest normal-ordered coefficient
     return _report(7, "vacuum energy and charge cancel under the constraints",
                    "zero to 1e-12 of the generic scale when constrained; "
-                   "nonzero for generic eigenvalues",
+                   "nonzero for generic eigenvalues; H = H+ and Q = -Q+ "
+                   "to 1e-12 of the largest coefficient",
                    [("constrained |<H>|", vh.norm(), 1e-12 * vh_u.norm(), "<="),
                     ("constrained |<Q>|", vq.norm(), 1e-12 * vq_u.norm(), "<="),
                     ("generic |<H>|", vh_u.norm(), 1e-6, ">"),
-                    ("generic |<Q>|", vq_u.norm(), 1e-6, ">")])
+                    ("generic |<Q>|", vq_u.norm(), 1e-6, ">"),
+                    ("|H - H+| / max |H|", _adjoint_residual(h, h - h.adjoint(),
+                                                            table), 1e-12, "<="),
+                    ("|Q + Q+| / max |Q|", _adjoint_residual(q, q + q.adjoint(),
+                                                            table), 1e-12, "<=")])
+
+
+def _adjoint_residual(poly: OperatorPoly, residual: OperatorPoly,
+                      table: CommutationTable) -> float:
+    """Largest normal-ordered coefficient of residual over poly's."""
+    return (normal_order(residual, table).max_norm()
+            / normal_order(poly, table).max_norm())
 
 
 def _states_lattice(table: CommutationTable | None,

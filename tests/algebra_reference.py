@@ -5,9 +5,10 @@ polynomials, a polynomial's scalar part, and the property that every
 annihilation operator commutes with every creator.  The operator routes
 the package replaced by faster ones with the same bits: the Hamiltonian
 and charge assembled from anticommutator(...).scale(...) parts, normal
-ordering that computes sort keys per comparison, and the vacuum
-functional that collapses words through per-call closures and sums ring
-objects; the commutator that decides its lattice-delta support on momenta
+ordering that computes sort keys per comparison and calls the
+commutator on every swap, and the vacuum functional that collapses
+every word through per-call closures and sums ring objects; the
+commutator that decides its lattice-delta support on momenta
 rather than indices, and the Hamiltonian weights built through a geometry
 factor that evaluates omega four times per momentum pair.  Also the
 ring-object
@@ -37,9 +38,8 @@ from hypothesis import strategies as st
 import hyperfield.commutators as fc
 from hyperfield.errors import UndeterminedByAxioms
 from hyperfield.modes import omega
-from hyperfield.observables import (INFINITE_LINE, TWO_PI, _merge_all,
-                                    geometry_kernel, h_gamma,
-                                    hamiltonian_terms)
+from hyperfield.observables import (INFINITE_LINE, TWO_PI, geometry_kernel,
+                                    h_gamma, hamiltonian_terms)
 from hyperfield.operators import (_A_FAMILY, _RHO_INDEX, CommutationTable,
                                   ModeOp, OperatorPoly, commutator,
                                   normal_order)
@@ -220,6 +220,14 @@ def pair_poly_reference(species_pair, k_index: int, kp_index: int, coeff,
                           ModeOp(s2, kp_index, dagger)).scale(coeff)
 
 
+def _merge_all(total: OperatorPoly, parts) -> None:
+    """Add each part's terms into total's own dict, in order: the terms
+    and insertion order of total + part + ..."""
+    for part in parts:
+        for word, coeff in part.terms.items():
+            total._merged(word, coeff, total.terms)
+
+
 def hamiltonian_poly_reference(params, geom, table, t: float = 0.0):
     """observables.hamiltonian_poly through pair_poly_reference."""
     total = OperatorPoly.zero()
@@ -251,7 +259,8 @@ def charge_poly_reference(params, table):
 
 def normal_order_reference(poly: OperatorPoly,
                            table: CommutationTable) -> OperatorPoly:
-    """operators.normal_order with two sort_key calls per comparison."""
+    """operators.normal_order with two sort_key calls per comparison and
+    one commutator call per swap, every swap through the stack."""
     out: dict = {}
     result = OperatorPoly(out)
     stack = list(poly.terms.items())

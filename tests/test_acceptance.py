@@ -16,8 +16,9 @@ from hyperfield import observables, states
 from hyperfield import verification as vf
 from hyperfield.modes import omega
 from hyperfield.observables import h_gamma
-from hyperfield.operators import CommutationTable, VacuumRules
-from hyperfield.ring import Bicomplex
+from hyperfield.operators import (CommutationTable, OperatorPoly, VacuumRules,
+                                  pair_poly)
+from hyperfield.ring import Bicomplex, in_sector
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +82,48 @@ def test_tripled_unconjugated_eta_k_fails_criterion_6(monkeypatch):
 
 
 def test_swapped_vev_eigenvalues_fail_criterion_7(monkeypatch):
-    vev = observables.vev
-    monkeypatch.setattr(observables, "vev", lambda poly, rules, table: vev(
+    vev = vf.vev
+    monkeypatch.setattr(vf, "vev", lambda poly, rules, table: vev(
         poly, VacuumRules(rules.lambda2, rules.lambda1, False), table))
     report = vf.criterion_7_vev_cancellation()
     _assert_derived(report)
     assert {c["name"]: c["passed"] for c in report["checks"]} == {
         "constrained |<H>|": False, "constrained |<Q>|": False,
-        "generic |<H>|": True, "generic |<Q>|": True}
+        "generic |<H>|": True, "generic |<Q>|": True,
+        "|H - H+| / max |H|": True, "|Q + Q+| / max |Q|": True}
+
+
+def _unconjugated_hc(params, geom, table, t=0.0):
+    """H whose h.c. half carries w where it should carry conj(w)."""
+    h = OperatorPoly.zero()
+    for i, j, w in observables.hamiltonian_terms(params, geom, table, t):
+        h = (h + pair_poly(("a1", "b1"), i, j, in_sector(True, w))
+             + pair_poly(("b2", "a2"), j, i, in_sector(False, w))
+             + pair_poly(("a1", "b1"), i, j, in_sector(False, w), True)
+             + pair_poly(("b2", "a2"), j, i, in_sector(True, w), True))
+    return h
+
+
+def _flipped_daggered_charge(params, table):
+    """Q with the sign of its daggered block flipped."""
+    q = observables.charge_poly(params, table)
+    return OperatorPoly({word: -c if word[0].dagger else c
+                         for word, c in q.terms.items()})
+
+
+@pytest.mark.parametrize("builder, defect, failing", [
+    ("hamiltonian_poly", _unconjugated_hc, "|H - H+| / max |H|"),
+    ("charge_poly", _flipped_daggered_charge, "|Q + Q+| / max |Q|")],
+    ids=["unconjugated_hc", "flipped_daggered_charge"])
+def test_non_hermitian_operator_fails_criterion_7(monkeypatch, builder,
+                                                  defect, failing):
+    monkeypatch.setattr(vf, builder, defect)
+    report = vf.criterion_7_vev_cancellation()
+    _assert_derived(report)
+    assert not report["passed"]
+    residual = {c["name"]: c["measured"] for c in report["checks"]}[failing]
+    assert residual > 0.1
+    assert f"FAILED {failing} " in report["detail"]
 
 
 def _seeded_expansion(monkeypatch, rewrite):

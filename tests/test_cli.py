@@ -342,6 +342,22 @@ class TestConfig:
         assert im == pytest.approx(2 * 0.6019072301972346, rel=1e-9)
 
 
+class TestNegativeExponentValues:
+    """argparse reads `--t -1e-3` as a flag; README gives the `=` form."""
+
+    @pytest.mark.parametrize("args, shown", [
+        (["evolve", "--t=-1e-3", "--order", "1"], "t=-0.001 "),
+        (["asymptotic", "--geometry", "finite", "--L1=-1e-1", "--L2", "1",
+          "--order", "1"], "finite [-0.1, 1.0] "),
+        (["commutator", "--which", "omega-omega", "--x-min=-1e-2",
+          "--x-max", "0.5", "--steps", "3"], "wrote 3 rows "),
+    ], ids=["evolve_t", "asymptotic_L1", "commutator_x_min"])
+    def test_equals_form_is_read(self, tmp_path, args, shown):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert shown in r.stdout
+
+
 class TestVerifyCommand:
     def test_main_entry_verify_passes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -159,6 +159,28 @@ class TestRoutesMatchTheReference:
         assert got == vev_outcome(ref.vev_reference, h, rules, table)
 
 
+class TestRoutesMatchTheReferenceAtWorkloadSize:
+    """The vacuum benchmark's 32-mode staggered finite interval, where
+    each two-op pattern recurs hundreds of times in one call."""
+
+    def test_hamiltonian_normal_order_and_vev(self):
+        table = CommutationTable(delta_k=0.1, N=16, stagger=True)
+        params = FieldParams(m=1.1, gamma=0.6)
+        geom = GeometrySpec("finite_interval", -1.2, 1.3)
+        h = hamiltonian_poly(params, geom, table, 0.1)
+        assert len(h.terms) == 8192
+        assert term_bits(h) == term_bits(
+            ref.hamiltonian_poly_reference(params, geom, table, 0.1))
+        assert (term_bits(normal_order(h, table))
+                == term_bits(ref.normal_order_reference(h, table)))
+        for rules in (VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j),
+                      VacuumRules.generic(Bicomplex(0.3, 0.4, 0.1, -0.2),
+                                          Bicomplex(-0.1, 0.8, 0.3, 0.05))):
+            got = vev_outcome(vev, h, rules, table)
+            assert isinstance(got, tuple)
+            assert got == vev_outcome(ref.vev_reference, h, rules, table)
+
+
 # exact zeros make real phases at x = t = 0, where signed zeros show
 POSITION = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
 

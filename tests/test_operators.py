@@ -319,6 +319,40 @@ class TestTracedNames:
         assert calls["commutator"] > calls["commutator_outside"] >= 1
 
 
+class TestPatternCalls:
+    """The table is read once per two-op pattern per call: the calls do
+    not grow with the lattice on the staggered finite-interval H."""
+
+    @staticmethod
+    def calls_at_16_and_32_modes(monkeypatch, name, run):
+        counted = []
+        fn = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda *args: counted.append(args) or fn(*args))
+        calls = []
+        for n in (8, 16):
+            table = CommutationTable(delta_k=0.1, N=n, stagger=True)
+            h = hamiltonian_poly(FieldParams(m=1.1, gamma=0.6),
+                                 GeometrySpec("finite_interval", -1.2, 1.3),
+                                 table)
+            counted.clear()
+            run(h, table)
+            calls.append(len(counted))
+        return calls
+
+    def test_commutator_calls_in_normal_order(self, monkeypatch):
+        calls = self.calls_at_16_and_32_modes(monkeypatch, "commutator",
+                                              normal_order)
+        assert calls[0] == calls[1] <= 64
+
+    def test_sector_vev_calls_in_vev(self, monkeypatch):
+        rules = VacuumRules.generic(Bicomplex(0.3, 0.4, 0.1, -0.2),
+                                    Bicomplex(-0.1, 0.8, 0.3, 0.05))
+        calls = self.calls_at_16_and_32_modes(
+            monkeypatch, "_sector_vev", lambda h, table: vev(h, rules, table))
+        assert calls[0] == calls[1] <= 64
+
+
 class TestPairCommutationCheck:
     def test_sigma_free_table_passes(self, table):
         assert pair_commutation_check(table)
