@@ -22,6 +22,7 @@ from .observables import (GeometrySpec, charge_density_classical, charge_poly,
                           noether_residual, vev_H, vev_Q)
 from .states import (StateVector, asymptotic_state_finite,
                      asymptotic_state_infinite, eta_k, evolve_vacuum,
-                     norm_preservation, project_view, schmidt_rank)
+                     norm_preservation, project_view, schmidt_rank,
+                     schmidt_spectrum)
 
 __version__ = "0.1.0"

@@ -86,6 +86,8 @@ def _override(cfg: dict, args: argparse.Namespace) -> None:
     if geometry != "finite" and (getattr(args, "L1", None) is not None
                                  or getattr(args, "L2", None) is not None):
         raise ConfigError("--L1/--L2 need --geometry finite")
+    if geometry == "finite" and getattr(args, "t_values", None) is not None:
+        raise ConfigError("--t-values needs --geometry infinite")
 
 
 def _is_real(value) -> bool:
@@ -320,8 +322,6 @@ def cmd_evolve(args, cfg: dict) -> int:
 def cmd_asymptotic(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
-    t_values = args.t_values or "0,1,10,100"
-    ts = _times(t_values)
     order = cfg["truncation_order"]
     if args.geometry == "finite":
         L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
@@ -332,7 +332,8 @@ def cmd_asymptotic(args, cfg: dict) -> int:
               f"schmidt_rank={rank}")
         print(f"wrote state to {out}")
         return 0
-    diags = asymptotic_state_infinite(ts, params, table)
+    t_values = args.t_values or "0,1,10,100"
+    diags = asymptotic_state_infinite(_times(t_values), params, table)
     if not all(math.isfinite(d["log_modulus"]) for d in diags):
         raise ConfigError(f"--t-values {t_values} overflow the diagnostics")
     _warn_lattice_span(cfg)

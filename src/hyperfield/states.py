@@ -8,7 +8,9 @@ the anticommutator produces.  Distinct label multisets are orthonormal.
 
 The creation part of the evolution exponent acts as a commuting family of
 label appenders, so the truncated exponential is a plain multiset
-expansion with per-label scalar weights.
+expansion with per-label scalar weights.  The state keeps those weights,
+and its Schmidt spectrum across a momentum cut is read off them through
+an (n+1) x (n+1) degree-block matrix per sector, never off the kets.
 """
 
 from __future__ import annotations
@@ -35,18 +37,23 @@ class StateVector:
     """Truncated ket: map from basis-ket label to Bicomplex amplitude.
 
     The vacuum carries the empty label ().  Keys are sorted tuples of pair
-    labels (tag, k_index, kp_index, flag).
+    labels (tag, k_index, kp_index, flag).  weights maps each pair label
+    of the exponent to its complex weight z when the state is that
+    exponent's truncated expansion ({} for the vacuum), and is None for a
+    state built by hand, summed or projected, whose kets need not factor.
     """
 
-    __slots__ = ("amplitudes", "truncation_order")
+    __slots__ = ("amplitudes", "truncation_order", "weights")
 
-    def __init__(self, amplitudes: dict | None = None, truncation_order: int = 0):
+    def __init__(self, amplitudes: dict | None = None, truncation_order: int = 0,
+                 weights: dict | None = None):
         self.amplitudes = {} if amplitudes is None else amplitudes
         self.truncation_order = truncation_order
+        self.weights = weights
 
     @staticmethod
     def vacuum() -> "StateVector":
-        return StateVector({(): Bicomplex.one()}, 0)
+        return StateVector({(): Bicomplex.one()}, 0, {})
 
     def inner(self, other: "StateVector") -> Bicomplex:
         """Ring inner product sum_K conj(amp_K) other_amp_K.
@@ -106,10 +113,12 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
     (J+ J- = 0), so the two sectors expand independently.
     """
     amps: dict = {(): Bicomplex.one()}
+    weights: dict = {}
 
     for tag in (TAG_MIRROR, TAG_SYSTEM):
         labels = sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
                          for flag in (0, 1)}.items())
+        weights.update(labels)
         if not labels:
             continue
         plus = tag == TAG_MIRROR
@@ -137,7 +146,7 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
                     if any(amp):
                         amps[combo] = amp
             prefixes = grown
-    return StateVector(amps, order)
+    return StateVector(amps, order, weights)
 
 
 def evolve_vacuum(t: float, order: int, params: FieldParams,
@@ -260,42 +269,78 @@ def asymptotic_state_infinite(t_values, params: FieldParams,
     return out
 
 
-def schmidt_rank(state: StateVector, partition: set) -> int:
-    """Schmidt rank of the state across a momentum-index bipartition.
+def _degree_norms(zs: list, order: int) -> list:
+    """sqrt(F_a), a = 0..order: F_a sums prod |z|^(2n) / (n!)^2, the
+    |amplitude|^2, over the label multisets of degree a.
 
-    Each ket multiset splits into the pair labels whose first momentum
-    index lies in the partition and the rest; the amplitude matrix over
-    (left, right) labels, numbered in first-seen order, is SVD'd in each
-    idempotent sector and the larger count of singular values above
-    1e-10 times the sector's largest is returned.  The cutoff is relative
-    so that round-off on large amplitudes is not counted; singular values
-    do not depend on the row or column order.  Raises DomainError when a
-    sector's largest singular value is not finite (the norm overflows).
+    The series multiply on moduli over the largest one, because float **
+    (like abs of a complex) raises on overflow; the scale comes back as a
+    running product, which overflows to inf.
     """
-    li: dict = {}
-    ri: dict = {}
-    rows, cols, comps = [], [], []
-    for key, amp in state.amplitudes.items():
-        left, right = [], []
-        for p in key:
-            (left if p[1] in partition else right).append(p)
-        rows.append(li.setdefault(tuple(left), len(li)))
-        cols.append(ri.setdefault(tuple(right), len(ri)))
-        comps.extend(amp)
-    # complex columns x + iy and u + iv; their sum and difference are the
-    # plus and minus sectors
-    z = np.array(comps, dtype=float).reshape(-1, 4).view(complex)
+    mods = [math.hypot(z.real, z.imag) for z in zs]
+    big = max(mods, default=0.0) or 1.0
+    f = [1.0] + [0.0] * order
+    for mod in mods:
+        w2 = (mod / big) ** 2
+        term = [1.0]
+        for n in range(1, order + 1):
+            term.append(term[-1] * w2 / (n * n))
+        f = [sum(f[a - n] * term[n] for n in range(a + 1))
+             for a in range(order + 1)]
+    out, scale = [], 1.0
+    for fa in f:
+        out.append(scale * math.sqrt(fa))
+        scale *= big
+    return out
 
-    rank = 0
-    for sector in (z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]):
-        mat = np.zeros((len(li), len(ri)), dtype=complex)
-        mat[rows, cols] = sector
-        if mat.size:
-            # LAPACK is quicker on tall matrices; M and M^T share singular values
-            sv = np.linalg.svd(mat.T if len(li) < len(ri) else mat,
-                               compute_uv=False)
-            if not math.isfinite(sv[0]):
-                raise DomainError(f"Schmidt rank of a state whose norm "
-                                  f"overflows: largest singular value {sv[0]}")
-            rank = max(rank, int((sv > 1e-10 * sv[0]).sum()))
-    return rank
+
+def schmidt_spectrum(state: StateVector, partition: set) -> list:
+    """Singular values per sector (plus: tag '2ba', minus: '1ab'),
+    descending, across a momentum-index cut: a pair label goes left when
+    its first momentum index lies in the partition.
+
+    Read off the label weights, not the kets.  A ket's sector amplitude is
+    the product of its left and right multisets' amplitudes, so the sector
+    matrix over (left, right) multisets reduces exactly to the
+    (n+1) x (n+1) matrix T_ab = sqrt(F_a G_b) [a + b <= n] of the left
+    (right) _degree_norms F (G) at truncation order n.  Raises DomainError
+    for a state without weights, and when a sector's largest value is not
+    finite (the norm overflows).
+    """
+    if state.weights is None:
+        raise DomainError("Schmidt spectrum of a state without label "
+                          "weights: only an expansion's kets factor")
+    n = state.truncation_order
+    spectra = []
+    for tag in (TAG_MIRROR, TAG_SYSTEM):
+        sides = ([], [])
+        for (label_tag, i, _j, _flag), z in state.weights.items():
+            if label_tag == tag:
+                sides[i not in partition].append(z)
+        f, g = (_degree_norms(zs, n) for zs in sides)
+        # float products, which overflow to inf without a warning
+        mat = np.array([[fa * gb if a + b <= n else 0.0
+                         for b, gb in enumerate(g)] for a, fa in enumerate(f)])
+        # an overflowed entry means an overflowed norm, which LAPACK cannot take
+        sv = (np.linalg.svd(mat, compute_uv=False) if np.isfinite(mat).all()
+              else [math.inf])
+        if not math.isfinite(sv[0]):
+            raise DomainError(f"Schmidt spectrum of a state whose norm "
+                              f"overflows: largest singular value {sv[0]}")
+        spectra.append(sv)
+    return spectra
+
+
+def schmidt_rank(state: StateVector, partition: set) -> int:
+    """Schmidt rank: the larger count, over the two sectors of
+    schmidt_spectrum, of values above 1e-10 times the sector's largest (a
+    relative cutoff, so round-off on large amplitudes is not counted).
+
+    In exact arithmetic it is n + 1 whenever both sides of the cut carry a
+    nonzero weight (T is anti-triangular with a nonzero anti-diagonal) and
+    1 when one side carries none.  So rank >= 2 witnesses weights on both
+    sides, entangled by the truncation: the untruncated exponential is a
+    product state in each sector.
+    """
+    return max(int((sv > 1e-10 * sv[0]).sum())
+               for sv in schmidt_spectrum(state, partition))

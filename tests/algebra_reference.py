@@ -11,11 +11,11 @@ every word through per-call closures and sums ring objects; the
 commutator that decides its lattice-delta support on momenta
 rather than indices, and the Hamiltonian weights built through a geometry
 factor that evaluates omega four times per momentum pair.  Also the
-ring-object
-routes of the state expansion and the inner product, which the package
-replaced by closed forms, the ring property suite in Fraction
-arithmetic, which the package runs on integers, and a broken product
-that fails it.  Last, the ring element
+ring-object routes of the state expansion and the inner product, which
+the package replaced by closed forms; the Schmidt spectrum from the
+ket-by-ket matrix, which the package reads off the label weights; the
+ring property suite in Fraction arithmetic, which the package runs on
+integers, and a broken product that fails it.  Last, the ring element
 built from its two idempotent sectors and the ring exponential through
 them, the oracle for ring.exp_bicomplex, and the ring element as the frozen
 dataclass that the package's immutable tuple replaced.  And the lattice
@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 from hypothesis import strategies as st
 
 import hyperfield.commutators as fc
-from hyperfield.errors import UndeterminedByAxioms
+from hyperfield.errors import DomainError, UndeterminedByAxioms
 from hyperfield.modes import omega
 from hyperfield.observables import (INFINITE_LINE, TWO_PI, geometry_kernel,
                                     h_gamma, hamiltonian_terms)
@@ -119,6 +120,52 @@ def expand_exponential_ring(pairs: dict, order: int) -> dict:
                 if not amp.is_zero():
                     amps[combo] = amp
     return amps
+
+
+def schmidt_spectrum_dense(state, partition: set) -> list:
+    """Singular values of each idempotent sector's ket-by-ket matrix.
+
+    The package's former Schmidt route: each ket multiset splits into the
+    pair labels whose first momentum index lies in the partition and the
+    rest; the amplitude matrix over (left, right) labels, numbered in
+    first-seen order, is SVD'd in the plus and then the minus sector.
+    Raises DomainError when a sector's largest singular value is not
+    finite (the norm overflows).
+    """
+    li: dict = {}
+    ri: dict = {}
+    rows, cols, comps = [], [], []
+    for key, amp in state.amplitudes.items():
+        left, right = [], []
+        for p in key:
+            (left if p[1] in partition else right).append(p)
+        rows.append(li.setdefault(tuple(left), len(li)))
+        cols.append(ri.setdefault(tuple(right), len(ri)))
+        comps.extend(amp)
+    # complex columns x + iy and u + iv; their sum and difference are the
+    # plus and minus sectors
+    z = np.array(comps, dtype=float).reshape(-1, 4).view(complex)
+
+    spectra = []
+    for sector in (z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]):
+        mat = np.zeros((len(li), len(ri)), dtype=complex)
+        mat[rows, cols] = sector
+        if mat.size:
+            # LAPACK is quicker on tall matrices; M and M^T share singular values
+            sv = np.linalg.svd(mat.T if len(li) < len(ri) else mat,
+                               compute_uv=False)
+            if not math.isfinite(sv[0]):
+                raise DomainError(f"Schmidt rank of a state whose norm "
+                                  f"overflows: largest singular value {sv[0]}")
+            spectra.append(sv)
+    return spectra
+
+
+def schmidt_rank_dense(state, partition: set) -> int:
+    """The larger count over sectors of singular values above 1e-10 times
+    the sector's largest, on schmidt_spectrum_dense."""
+    return max(int((sv > 1e-10 * sv[0]).sum())
+               for sv in schmidt_spectrum_dense(state, partition))
 
 
 def inner_ring(left: dict, right: dict) -> Bicomplex:

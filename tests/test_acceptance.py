@@ -207,7 +207,20 @@ def _closed_form_doubled_beyond_10(monkeypatch):
     monkeypatch.setattr(fc, "commutator_omega_pi_closed", seeded)
 
 
+def _rank_without_left_labels(monkeypatch):
+    rank = vf.schmidt_rank
+    monkeypatch.setattr(vf, "schmidt_rank",
+                        lambda state, partition: rank(state, set()))
+
+
+def _rank_counting_zero_values(monkeypatch):
+    monkeypatch.setattr(vf, "schmidt_rank", lambda state, partition: max(
+        map(len, states.schmidt_spectrum(state, partition))))
+
+
 @pytest.mark.parametrize("seed_defect, cid, failing", [
+    (_rank_without_left_labels, 9, {"rank(gamma=0.5)", "rank(gamma=0)"}),
+    (_rank_counting_zero_values, 9, {"rank(t=0)"}),
     (_scaled_k1, 4, {"unweighted worst relative error",
                      "weighted worst relative error"}),
     (_plus_m2_delta_coefficient, 5,
@@ -215,7 +228,8 @@ def _closed_form_doubled_beyond_10(monkeypatch):
     (_swapped_project_view, 11, {"plus-view kets with other tags",
                                  "minus-view kets with other tags"}),
     (_closed_form_doubled_beyond_10, 12, {"fig1 non-decreasing steps"})],
-    ids=["k1_scaled_1e-5", "plus_m2_delta_coefficient", "swapped_views",
+    ids=["rank_without_left_labels", "rank_counting_zero_values",
+         "k1_scaled_1e-5", "plus_m2_delta_coefficient", "swapped_views",
          "closed_form_doubled_beyond_dx_10"])
 def test_seeded_defect_fails_only_its_criterion(monkeypatch, seed_defect,
                                                 cid, failing):

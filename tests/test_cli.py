@@ -254,6 +254,7 @@ class TestConfig:
          "--steps", "2"],
         ["evolve", "--t", "0.1", "--order", "1", "--L1", "0", "--L2", "3"],
         ["asymptotic", "--geometry", "infinite", "--L2", "3"],
+        ["asymptotic", "--geometry", "finite", "--t-values", "5,6"],
         ["evolve", "--t", "1e103", "--order", "3"],
         # q L overflows though L2 - L1 does not; and where L2 - L1 does too
         ["evolve", "--t", "0.1", "--order", "1", "--geometry", "finite",
@@ -291,6 +292,7 @@ class TestConfig:
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
             "evolve_L1_without_finite", "asymptotic_L2_without_finite",
+            "finite_asymptotic_t_values",
             "evolve_t_overflows", "evolve_phase_overflows",
             "evolve_length_overflows", "t_values_overflow", "checks_zero",
             "checks_negative", "asymptotic_amplitudes_overflow",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -211,7 +212,9 @@ class TestSchmidtRank:
 
     def test_rank_ignores_row_order(self):
         # singular values 9.2e9 down to 1.0e6, then round-off from 5e-7 down;
-        # no row or column order may let the round-off count
+        # no row or column order of the ket-by-ket oracle may let the
+        # round-off count (the package's degree-block matrix has no rows
+        # per ket, and a shuffled hand-built state carries no weights)
         t = CommutationTable(delta_k=0.1, N=8, stagger=True)
         s = asymptotic_state_finite(3, FieldParams(m=2.0, gamma=1.5),
                                     -20.0, 20.0, t)
@@ -221,7 +224,7 @@ class TestSchmidtRank:
         for _ in range(4):
             order = rng.permutation(len(items))
             shuffled = StateVector(dict(items[n] for n in order), 3)
-            assert schmidt_rank(shuffled, part) == 4
+            assert ref.schmidt_rank_dense(shuffled, part) == 4
 
     def test_overflowing_norm_raises(self):
         # finite amplitudes (largest component 4.0e307) whose singular
@@ -233,6 +236,96 @@ class TestSchmidtRank:
                    for c in a.to_tuple())
         with pytest.raises(DomainError):
             schmidt_rank(s, {-2})
+
+
+# fixed before any comparison: LAPACK's singular values carry an absolute
+# error of a few ulps of sigma_1 on either route
+SPECTRUM_TOL = 1e-9
+
+
+def _cuts(table) -> dict:
+    """First-index and middle-index partitions, and the half lattice."""
+    idx = table.momentum_indices()
+    return {"first": {idx[0]}, "middle": {idx[len(idx) // 2]},
+            "half": set(idx[:len(idx) // 2])}
+
+
+def _oracle_cases(builder: str, modes: int):
+    """(state, cut) pairs: orders 0-3, gamma 0 and 0.5, and per builder
+    t in {0, 1e-6, 0.05, 1} on the infinite line (and at orders 0-2 on a
+    4-mode finite interval) or the cross term off and on.  Where a side
+    holds 16 labels at order 3 (the 4-mode interval, the 8-mode cross
+    term) the oracle's matrix has 1937 rows and takes seconds, so that
+    state is left out, or only its half-lattice cut."""
+    table = CommutationTable(delta_k=0.2, N=modes // 2, stagger=True)
+    line, interval = (GeometrySpec(kind, -1.0, 2.0)
+                      for kind in ("infinite_line", "finite_interval"))
+    for order, gamma in itertools.product(range(4), (0.0, 0.5)):
+        p = FieldParams(m=1.0, gamma=gamma)
+        if builder == "evolve":
+            geoms = [line] + [interval] * (modes == 4 and order < 3)
+            built = [(evolve_vacuum(t, order, p, geom, table), True)
+                     for geom in geoms for t in (0.0, 1e-6, 0.05, 1.0)]
+        else:
+            built = [(asymptotic_state_finite(order, p, -1.0, 2.0, table,
+                                              include_cross_term=cross),
+                      modes == 4 or not cross or order < 3)
+                     for cross in (False, True)]
+        for state, half in built:
+            for name, cut in _cuts(table).items():
+                if half or name != "half":
+                    yield state, cut
+
+
+class TestSchmidtOracle:
+    """The degree-block spectrum against the ket-by-ket oracle."""
+
+    @staticmethod
+    def assert_matches(state, cut):
+        assert schmidt_rank(state, cut) == ref.schmidt_rank_dense(state, cut)
+        got = states.schmidt_spectrum(state, cut)
+        want = ref.schmidt_spectrum_dense(state, cut)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            # the nonzero values agree; either side's surplus is zeros
+            size = max(len(g), len(w))
+            g, w = (np.pad(v, (0, size - len(v))) for v in (g, w))
+            assert np.abs(g - w).max() <= SPECTRUM_TOL * w[0], (g, w)
+
+    @pytest.mark.parametrize("builder", ["evolve", "asymptotic"])
+    @pytest.mark.parametrize("modes", [4, 8])
+    def test_matches_dense_oracle(self, builder, modes):
+        for state, cut in _oracle_cases(builder, modes):
+            self.assert_matches(state, cut)
+
+    def test_vacuum_and_empty_exponent(self):
+        for state in (StateVector.vacuum(), states._expand_exponential({}, 3)):
+            assert [list(sv) for sv in states.schmidt_spectrum(state, {0})] \
+                == [[1.0] + [0.0] * state.truncation_order] * 2
+            self.assert_matches(state, {0})
+
+    def test_state_without_weights_is_refused(self, params, table):
+        s = asymptotic_state_finite(2, params, -1.0, 2.0, table)
+        part = {table.momentum_indices()[0]}
+        for built in (StateVector(dict(s.amplitudes), 2),
+                      project_view(s, "plus"), s + s):
+            assert built.weights is None
+            with pytest.raises(DomainError, match="without label weights"):
+                schmidt_rank(built, part)
+
+
+def test_rank_decomposes_degree_blocks_only(monkeypatch):
+    # at the ket-by-ket route this state's first-index matrix was 19 x 1359
+    svd = states.np.linalg.svd
+    shapes = []
+    monkeypatch.setattr(states.np.linalg, "svd", lambda mat, **kw: (
+        shapes.append(mat.shape) or svd(mat, **kw)))
+    table = CommutationTable(delta_k=0.2, N=4, stagger=True)  # 8 modes
+    state = asymptotic_state_finite(3, FieldParams(m=1.0, gamma=0.5),
+                                    -1.0, 2.0, table)
+    for cut in _cuts(table).values():
+        assert schmidt_rank(state, cut) == 4
+    assert shapes and all(rows <= 4 and cols <= 4 for rows, cols in shapes)
 
 
 class TestAsymptoticInfinite:
