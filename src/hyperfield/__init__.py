@@ -10,13 +10,12 @@ from .modes import (FieldParams, ModeSolution, eom_residual, field_value,
 from .operators import (CommutationTable, ModeOp, OperatorPoly, VacuumRules,
                         commutator, generic_table, normal_order, vev)
 from .commutators import (CommutatorResult, QuadratureSpec, bessel_k,
-                          commutator_omega_omegadagger,
                           commutator_omega_pi_closed,
                           commutator_omega_pi_m0_limit,
-                          commutator_omega_pi_quadrature,
-                          commutator_pi_pidagger, difference_bracket,
-                          figure_data, lattice_commutator, sum_bracket,
-                          weighted_commutators, weighted_quadrature)
+                          commutator_omega_pi_quadrature, delta_commutator,
+                          difference_bracket, figure_data, lattice_commutator,
+                          sum_bracket, weighted_commutators,
+                          weighted_quadrature)
 from .observables import (GeometrySpec, charge_density_classical, charge_poly,
                           geometry_kernel, h_gamma, hamiltonian_poly,
                           noether_residual, vev_H, vev_Q)

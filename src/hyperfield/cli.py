@@ -16,9 +16,7 @@ import os
 import sys
 
 from . import verification
-from .commutators import (commutator_omega_omegadagger, commutator_pi_pidagger,
-                          figure_data, lattice_delta_profile, sweep_grid,
-                          weighted_commutators)
+from .commutators import delta_commutator, figure_data, sweep_grid
 from .errors import HyperfieldError
 from .modes import FieldParams
 from .observables import GeometrySpec
@@ -268,22 +266,13 @@ def cmd_commutator(args, cfg: dict) -> int:
         rows = figure_data(_FIGURE_OF[args.which],
                            (args.x_min, args.x_max, args.steps), params, table)
     else:
-        # delta-type kernels: emit coefficient times the lattice delta profile
-        weight = None
-        if args.which == "omega-omega":
-            coeff = commutator_omega_omegadagger(table).coefficient
-        elif args.which == "pi-pi":
-            coeff = commutator_pi_pidagger(table, params).delta2_coeff
-            weight = lambda k: -k ** 2 - params.m2_mod
-        else:
-            coeff = weighted_commutators("omega_pi", 1.0, params, table).coefficient
+        which = args.which.removeprefix("w-").replace("-", "_")
         rows = []
         for dx in sweep_grid(args.x_min, args.x_max, args.steps):
             try:
-                prof = lattice_delta_profile(dx, table, weight)
+                val = delta_commutator(which, dx, params, table).plus()
             except OverflowError as exc:  # float ** raises where * gives inf
                 raise ConfigError("the pi-pi sweep overflows squaring k") from exc
-            val = (coeff * Bicomplex.from_complex(prof)).plus()
             rows.append((dx, val.real, val.imag))
     # a span, M^2 or table entry can overflow though each flag is finite
     if not all(math.isfinite(c) for row in rows for c in row):

@@ -9,15 +9,19 @@ B_sum = J+ (rho1 + conj rho4) + J- (conj rho1 + rho4):
     [Omega, Pi]     = -i B_sum Integral omega_k e^{i k dx} dk
                     =  2 i B_sum (M/|dx|) K1(M |dx|)        (M^2 > 0, 1d)
 
-All three follow mechanically from the commutation table; the lattice
-route and the quadrature route are kept as independent
-cross-checks of the closed forms.  The lattice route builds Omega and Pi
-as OperatorPolys and contracts them term by term: both are linear in the
-ladder operators and every ladder commutator is a central ring scalar,
-so [A, B] = sum_pq a_p b_q [op_p, op_q] holds exactly, and the table
-leaves only the pairs on the momentum diagonal (rho) and anti-diagonal
-(sigma).  The table is read once per pattern of species, daggers and
-index relation; the rest of the cost is linear in the number of modes.
+All three follow mechanically from the commutation table, and each kernel
+has one production route: delta_commutator for the delta-type kernels
+(the bracket times the lattice delta profile, sigma ignored), and for each
+Bessel kernel a closed form, checked against the quadrature oracle below.
+
+lattice_commutator, the operator engine, is the delta route's independent
+side in acceptance criterion 3.  It builds Omega and Pi as OperatorPolys
+and contracts them term by term: both are linear in the ladder operators
+and every ladder commutator is a central ring scalar, so [A, B] = sum_pq
+a_p b_q [op_p, op_q] holds exactly, and the table leaves only the pairs on
+the momentum diagonal (rho) and anti-diagonal (sigma).  The table is read
+once per pattern of species, daggers and index relation; the rest of the
+cost is linear in the number of modes.
 
 Weighted variants use the 1/sqrt(omega_k) measure and swap the kernels
 around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
@@ -26,9 +30,8 @@ around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
 The unweighted and weighted quadrature oracles share one numpy rule with
 two legs, which must agree on M |dx| in [1, 5] where both are trusted: a
 double-exponential Fourier leg below and a trapezoid leg on the branch cut
-above (QuadratureSpec).  A per-mode weight turns the lattice delta
-profile into delta'' - M^2 delta for [Pi, Pi+].  Every kernel is derived
-for one spatial dimension.
+above (QuadratureSpec).  Every kernel is derived for one spatial
+dimension.
 """
 
 from __future__ import annotations
@@ -69,41 +72,6 @@ def sum_bracket(table: CommutationTable) -> Bicomplex:
     """J+ (rho1 + conj rho4) + J- (conj rho1 + rho4)."""
     r1, r4 = table.rho[0], table.rho[3]
     return J_PLUS * (r1 + r4.conj()) + J_MINUS * (r1.conj() + r4)
-
-
-# ---------------------------------------------------------------------------
-# structural results (delta-type kernels)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CommutatorResult:
-    """Structural commutator: a bracket coefficient times a kernel.
-
-    For delta kernels the value is coefficient * (2 pi)^n * kernel(dx);
-    delta_coeff / delta2_coeff carry the split of composite kernels.
-    value_at evaluates smooth kernels pointwise (None for distributions).
-    """
-
-    coefficient: Bicomplex
-    delta_coeff: Optional[Bicomplex] = None
-    delta2_coeff: Optional[Bicomplex] = None
-    value_at: Optional[Callable[[float], Bicomplex]] = None
-
-
-def commutator_omega_omegadagger(table: CommutationTable) -> CommutatorResult:
-    """[Omega, Omega+]: a pure Dirac delta, independent of t, gamma and m."""
-    coeff = difference_bracket(table)
-    return CommutatorResult(coeff, delta_coeff=coeff)
-
-
-def commutator_pi_pidagger(table: CommutationTable,
-                           params: FieldParams) -> CommutatorResult:
-    """[Pi, Pi+]: delta'' - M^2 delta with the same difference bracket."""
-    coeff = difference_bracket(table)
-    m2 = params.m2_mod
-    return CommutatorResult(coeff,
-                            delta_coeff=coeff * Bicomplex.from_complex(-m2),
-                            delta2_coeff=coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +218,27 @@ def lattice_delta_profile(dx: float, table: CommutationTable,
     if weight is None:
         return table.delta_k * sum(cmath.exp(1j * k * dx) for k in ks)
     return table.delta_k * sum(weight(k) * cmath.exp(1j * k * dx) for k in ks)
+
+
+def delta_commutator(which: str, dx: float, params: FieldParams,
+                     table: CommutationTable) -> Bicomplex:
+    """Delta-type commutator at separation dx: bracket times delta profile.
+
+    omega_omega: B_diff (2 pi) delta; pi_pi: B_diff (2 pi) (delta'' - M^2
+    delta), the profile weighted by -k^2 - M^2; omega_pi, weighted by
+    1/sqrt(omega_k): -i B_sum (2 pi) delta.  It ignores sigma; on a
+    sigma-free table it equals lattice_commutator(which, x, x + dx, t, ...)
+    at any x and t.  Squaring an overflowing momentum raises OverflowError.
+    """
+    weight = (lambda k: -k ** 2 - params.m2_mod) if which == "pi_pi" else None
+    if which == "omega_pi":
+        coeff = Bicomplex.from_complex(-1j) * sum_bracket(table)
+    elif which in ("omega_omega", "pi_pi"):
+        coeff = difference_bracket(table)
+    else:
+        raise ValueError(f"unknown delta-type commutator {which!r}")
+    prof = lattice_delta_profile(dx, table, weight)
+    return coeff * Bicomplex.from_complex(prof)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +414,22 @@ def commutator_omega_pi_m0_limit(delta_x: float, gamma: float,
 # weighted measure variants
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CommutatorResult:
+    """A smooth commutator kernel, evaluated pointwise by value_at(dx)."""
+
+    value_at: Callable[[float], Bicomplex]
+
+
 def weighted_commutators(which: str, delta_x: float, params: FieldParams,
                          table: CommutationTable) -> CommutatorResult:
     """Commutators with the 1/sqrt(omega_k) integration weight.
 
-    omega_omega -> 2 B_diff K0(M |dx|); pi_pi -> 2 B_diff (M/|dx|) K1(M |dx|);
-    omega_pi -> -i B_sum times a plain (2 pi)^n delta.  The kernels are
-    interchanged relative to the unweighted set.
+    omega_omega -> 2 B_diff K0(M |dx|); pi_pi -> 2 B_diff (M/|dx|) K1(M |dx|),
+    the unweighted kernels interchanged (the weighted [Omega, Pi] is the
+    delta of delta_commutator).  delta_x is unused, as value_at takes the
+    separation; perfbench/workloads.py's four-argument call binds to it.
     """
-    if which == "omega_pi":
-        coeff = Bicomplex.from_complex(-1j) * sum_bracket(table)
-        return CommutatorResult(coeff, delta_coeff=coeff)
     m2 = params.m2_mod
     if m2 <= 0.0:
         raise DomainError(f"weighted kernels require M^2 > 0, got {m2}")
@@ -450,7 +444,7 @@ def weighted_commutators(which: str, delta_x: float, params: FieldParams,
             raise DomainError(f"K{order} kernel diverges at dx = 0")
         prof = 2.0 * bessel_k(order, mmod * abs(dx)) * (mmod / abs(dx)) ** order
         return bdiff * Bicomplex.from_complex(prof)
-    return CommutatorResult(bdiff, value_at=value_at)
+    return CommutatorResult(value_at)
 
 
 def weighted_quadrature(which: str, delta_x: float, params: FieldParams,

@@ -181,24 +181,32 @@ def criterion_2_dispersion_eom() -> dict:
 
 # -- 3: damping-factor cancellation ------------------------------------------
 
+# rho of a sigma-free table that tells the brackets apart, which the default
+# and generic tables cannot: B_diff = (0.8, 0, 0, -0.4), B_sum = (1.2, 0, 0, 0.2)
+BRACKET_RHO = (Bicomplex(0.9, 0.2, 0.1, -0.3), Bicomplex(0.4, -0.1, 0.2, 0.3),
+               Bicomplex(0.5, 0.1, 0.0, 0.2), Bicomplex(0.3, -0.2, 0.1, 0.1))
+
+
 def criterion_3_commutator_invariance(table: CommutationTable | None = None) -> dict:
     table = table or generic_table(delta_k=0.25, N=5)
     x, xp = 0.3, 1.1
     checks = []
 
-    # drifts are scaled by the sum of the contraction's term magnitudes,
-    # which cannot vanish as the commutator does (B_diff = 0 at rho1 = rho4)
-    def contract(which: str, t: float, p: FieldParams):
+    # differences are scaled by the sum of the contraction's term magnitudes,
+    # which cannot vanish as the commutator does (B_diff = 0 at rho1 = rho4);
+    # [Omega, Pi] is contracted with the weighted measure, where it is a delta
+    def contract(which: str, t: float, p: FieldParams, lattice=table, x=x,
+                 xp=xp):
         total, scale = Bicomplex.zero(), 0.0
-        for term in fc._contraction_terms(which, x, xp, t, p, table, False):
+        for term in fc._contraction_terms(which, x, xp, t, p, lattice,
+                                          which == "omega_pi"):
             total = total + term
             scale += term.norm()
-        return total, scale
+        return total, max(scale, 1e-30)
 
     def compare(name: str, which: str, base, t: float, p: FieldParams):
         (value, scale), (other, _) = base, contract(which, t, p)
-        checks.append((name, (value - other).norm() / max(scale, 1e-30),
-                       1e-12, "<="))
+        checks.append((name, (value - other).norm() / scale, 1e-12, "<="))
 
     # t-independence of both commutators at each gamma
     for gamma in (0.0, 1.0, 2.0):
@@ -219,9 +227,26 @@ def criterion_3_commutator_invariance(table: CommutationTable | None = None) -> 
         m_adj = math.sqrt(p_ref.m2_mod + gamma * gamma / 4.0)
         compare(f"pi_pi gamma={gamma:g} vs 0 at fixed M^2", "pi_pi", base_pp,
                 0.7, FieldParams(m=m_adj, gamma=gamma))
+
+    # the delta route against the operator engine, on BRACKET_RHO whatever
+    # table was passed in
+    p = FieldParams(m=1.2, gamma=0.6)
+    for which in ("omega_omega", "pi_pi", "omega_pi"):
+        errors = []
+        for stagger in (False, True):
+            lattice = CommutationTable(rho=BRACKET_RHO, delta_k=0.25, N=4,
+                                       stagger=stagger)
+            for x0, x1, t in ((0.3, 1.1, 0.7), (-0.4, 2.1, 3.0)):
+                value, scale = contract(which, t, p, lattice, x0, x1)
+                route = fc.delta_commutator(which, x1 - x0, p, lattice)
+                errors.append((value - route).norm() / scale)
+        name = "weighted omega_pi" if which == "omega_pi" else which
+        checks.append((f"{name} delta route vs engine", max(errors), 1e-12,
+                       "<="))
     return _report(3, "equal-time commutators free of damping factors",
-                   "ring equality across t in {0,1,10}, gamma in {0,1,2} "
-                   "(1e-12 of the sum of term magnitudes)", checks)
+                   "ring equality across t in {0,1,10}, gamma in {0,1,2}, "
+                   "and of the delta route with the operator engine (1e-12 "
+                   "of the sum of term magnitudes)", checks)
 
 
 # -- 4: closed form vs quadrature oracle -------------------------------------
@@ -262,25 +287,14 @@ def criterion_5_limits(table: CommutationTable | None = None) -> dict:
     tail_w0 = fc.weighted_commutators("omega_omega", 30.0, p, table).value_at(30.0).norm()
     tail_w1 = fc.weighted_commutators("pi_pi", 30.0, p, table).value_at(30.0).norm()
 
-    # kernel coefficients: M^2 -> 0 leaves pure delta''; m = 0 adds +gamma^2/4 delta
-    p0 = FieldParams(m=1.0, gamma=2.0)      # M^2 = 0
-    r0 = fc.commutator_pi_pidagger(table, p0)
-    pm = FieldParams(m=0.0, gamma=2.0)      # M^2 = -1
-    rm = fc.commutator_pi_pidagger(table, pm)
-    expect = rm.delta2_coeff * Bicomplex.from_complex(pm.gamma ** 2 / 4.0)
-
     # monotone decay of the closed form beyond M dx = 5 (mass increasing, dx fixed)
     decay = [fc.commutator_omega_pi_closed(1.0, FieldParams(m=float(mm)),
                                            table).norm() for mm in range(5, 16)]
     return _report(5, "asymptotic limits of the commutators",
-                   "tails < 1e-8 at M dx = 30; kernel coefficients exact; "
-                   "monotone decay beyond M dx = 5",
+                   "tails < 1e-8 at M dx = 30; monotone decay beyond "
+                   "M dx = 5",
                    [("largest tail at M dx = 30", max(tail, tail_w0, tail_w1),
                      1e-8, "<"),
-                    ("nonzero parts of the M^2=0 delta coefficient",
-                     sum(c != 0 for c in r0.delta_coeff.to_tuple()), 0, "=="),
-                    ("|m=0 delta coefficient - gamma^2/4 bracket|",
-                     (rm.delta_coeff - expect).norm(), 1e-14, "<="),
                     ("non-decreasing steps over M = 5..15", _rises(decay), 0,
                      "==")])
 

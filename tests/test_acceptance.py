@@ -183,13 +183,25 @@ def _scaled_k1(monkeypatch):
     monkeypatch.setattr(fc, "_scipy_k1", lambda z: k1(z) * (1.0 + 1e-5))
 
 
-def _plus_m2_delta_coefficient(monkeypatch):
-    def seeded(table, params):
-        coeff = fc.difference_bracket(table)
-        return fc.CommutatorResult(
-            coeff, delta_coeff=coeff * Bicomplex.from_complex(params.m2_mod),
-            delta2_coeff=coeff)
-    monkeypatch.setattr(fc, "commutator_pi_pidagger", seeded)
+def _sum_for_difference_bracket(monkeypatch):
+    monkeypatch.setattr(fc, "difference_bracket", fc.sum_bracket)
+
+
+def _tripled_difference_bracket(monkeypatch):
+    bracket = fc.difference_bracket
+    monkeypatch.setattr(fc, "difference_bracket",
+                        lambda table: bracket(table) * Bicomplex(3.0))
+
+
+def _plus_m2_in_pi_pi_weight(monkeypatch):
+    # weight(0) = -M^2, so -k^2 - M^2 becomes -k^2 + M^2
+    profile = fc.lattice_delta_profile
+
+    def seeded(dx, table, weight=None):
+        if weight is None:
+            return profile(dx, table)
+        return profile(dx, table, lambda k: weight(k) - 2.0 * weight(0.0))
+    monkeypatch.setattr(fc, "lattice_delta_profile", seeded)
 
 
 def _swapped_project_view(monkeypatch):
@@ -223,14 +235,18 @@ def _rank_counting_zero_values(monkeypatch):
     (_rank_counting_zero_values, 9, {"rank(t=0)"}),
     (_scaled_k1, 4, {"unweighted worst relative error",
                      "weighted worst relative error"}),
-    (_plus_m2_delta_coefficient, 5,
-     {"|m=0 delta coefficient - gamma^2/4 bracket|"}),
+    (_sum_for_difference_bracket, 3, {"omega_omega delta route vs engine",
+                                      "pi_pi delta route vs engine"}),
+    (_tripled_difference_bracket, 3, {"omega_omega delta route vs engine",
+                                      "pi_pi delta route vs engine"}),
+    (_plus_m2_in_pi_pi_weight, 3, {"pi_pi delta route vs engine"}),
     (_swapped_project_view, 11, {"plus-view kets with other tags",
                                  "minus-view kets with other tags"}),
     (_closed_form_doubled_beyond_10, 12, {"fig1 non-decreasing steps"})],
     ids=["rank_without_left_labels", "rank_counting_zero_values",
-         "k1_scaled_1e-5", "plus_m2_delta_coefficient", "swapped_views",
-         "closed_form_doubled_beyond_dx_10"])
+         "k1_scaled_1e-5", "sum_for_difference_bracket",
+         "tripled_difference_bracket", "plus_m2_in_pi_pi_weight",
+         "swapped_views", "closed_form_doubled_beyond_dx_10"])
 def test_seeded_defect_fails_only_its_criterion(monkeypatch, seed_defect,
                                                 cid, failing):
     seed_defect(monkeypatch)

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfield.commutators import (QuadratureSpec, _contraction_terms,
-                                    bessel_k,
-                                    commutator_omega_omegadagger,
-                                    commutator_omega_pi_closed,
+                                    bessel_k, commutator_omega_pi_closed,
                                     commutator_omega_pi_m0_limit,
                                     commutator_omega_pi_quadrature,
-                                    commutator_pi_pidagger,
-                                    difference_bracket, field_operator_poly,
-                                    figure_data, lattice_commutator,
+                                    delta_commutator, difference_bracket,
+                                    field_operator_poly, figure_data,
+                                    lattice_commutator, lattice_delta_profile,
                                     momentum_operator_poly, sum_bracket,
                                     weighted_commutators, weighted_quadrature)
 from hyperfield.errors import DomainError, NonConvergent
@@ -23,7 +21,7 @@ from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   commutator, generic_table, normal_order)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
-from algebra_reference import commutator_with, scalar_part, small_tables
+from algebra_reference import RING, commutator_with, scalar_part, small_tables
 
 
 @pytest.fixture
@@ -71,38 +69,84 @@ class TestBesselK:
             bessel_k(2, 1.0)
 
 
-class TestStructuralCommutators:
+def profile(dx, table, weight=None):
+    return Bicomplex.from_complex(lattice_delta_profile(dx, table, weight))
+
+
+class TestDeltaRoute:
+    """delta_commutator: the bracket times the lattice delta profile."""
+
     def test_omega_omega_delta_kernel(self, rho_table):
-        res = commutator_omega_omegadagger(rho_table)
-        assert res.coefficient.is_close(difference_bracket(rho_table), 1e-15)
+        got = delta_commutator("omega_omega", 0.7, FieldParams(m=1.0), rho_table)
+        want = difference_bracket(rho_table) * profile(0.7, rho_table)
+        assert got.is_close(want, 1e-15)
+        assert not got.is_zero()
 
     def test_omega_omega_coefficient_examples(self):
+        p = FieldParams(m=1.0)
         t_equal = CommutationTable(rho=(Bicomplex.one(), Bicomplex.zero(),
                                         Bicomplex.zero(), Bicomplex.one()))
-        assert commutator_omega_omegadagger(t_equal).coefficient.is_zero()
+        assert delta_commutator("omega_omega", 0.7, p, t_equal).is_zero()
         t_gen = generic_table()
-        assert commutator_omega_omegadagger(t_gen).coefficient.is_close(
-            Bicomplex.one(), 1e-15)
+        assert delta_commutator("omega_omega", 0.7, p, t_gen).is_close(
+            profile(0.7, t_gen), 1e-15)
 
     def test_abelian_table(self):
         t0 = CommutationTable(rho=(Bicomplex.zero(),) * 4)
-        assert commutator_omega_omegadagger(t0).coefficient.is_zero()
+        for which in ("omega_omega", "pi_pi", "omega_pi"):
+            assert delta_commutator(which, 0.7, FieldParams(m=1.0), t0).is_zero()
 
     def test_pi_pi_kernel_structure(self, rho_table):
+        # delta'' - M^2 delta with the same difference bracket
         p = FieldParams(m=1.5, gamma=1.0)
-        res = commutator_pi_pidagger(rho_table, p)
-        assert res.delta2_coeff.is_close(difference_bracket(rho_table), 1e-15)
-        expected_delta = difference_bracket(rho_table) * Bicomplex.from_complex(-p.m2_mod)
-        assert res.delta_coeff.is_close(expected_delta, 1e-14)
+        got = delta_commutator("pi_pi", 0.7, p, rho_table)
+        d2 = profile(0.7, rho_table, lambda k: -k ** 2)
+        d0 = profile(0.7, rho_table) * Bicomplex.from_complex(-p.m2_mod)
+        assert got.is_close(difference_bracket(rho_table) * (d2 + d0), 1e-13)
 
     def test_pi_pi_limits(self, rho_table):
+        bracket = difference_bracket(rho_table)
+        d2 = profile(0.7, rho_table, lambda k: -k ** 2)
         # M^2 = 0: pure delta''
-        res0 = commutator_pi_pidagger(rho_table, FieldParams(m=1.0, gamma=2.0))
-        assert res0.delta_coeff.is_zero()
-        # m = 0, gamma = 2: delta coefficient is +gamma^2/4 times the bracket
-        resm = commutator_pi_pidagger(rho_table, FieldParams(m=0.0, gamma=2.0))
-        assert resm.delta_coeff.is_close(
-            difference_bracket(rho_table) * Bicomplex.from_complex(1.0), 1e-14)
+        got0 = delta_commutator("pi_pi", 0.7, FieldParams(m=1.0, gamma=2.0),
+                                rho_table)
+        assert got0.is_close(bracket * d2, 1e-14)
+        # m = 0, gamma = 2: the delta part is +gamma^2/4 times the bracket
+        gotm = delta_commutator("pi_pi", 0.7, FieldParams(m=0.0, gamma=2.0),
+                                rho_table)
+        assert gotm.is_close(bracket * (d2 + profile(0.7, rho_table)), 1e-13)
+
+    def test_weighted_omega_pi_is_minus_i_sum_bracket(self, rho_table):
+        got = delta_commutator("omega_pi", 0.7, FieldParams(m=1.0), rho_table)
+        want = (Bicomplex.from_complex(-1j) * sum_bracket(rho_table)
+                * profile(0.7, rho_table))
+        assert got.is_close(want, 1e-14)
+
+    def test_unknown_kernel_raises(self, rho_table):
+        with pytest.raises(ValueError):
+            delta_commutator("omega_omega_plus", 0.7, FieldParams(m=1.0),
+                             rho_table)
+        with pytest.raises(ValueError):
+            weighted_commutators("omega_pi", 0.7, FieldParams(m=1.0), rho_table)
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(st.builds(CommutationTable, rho=st.tuples(*(RING,) * 4),
+                     delta_k=st.floats(0.1, 0.5), N=st.integers(1, 4),
+                     stagger=st.booleans()),
+           st.sampled_from(("omega_omega", "pi_pi", "omega_pi")),
+           st.floats(0.6, 2.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0),
+           st.floats(-2.0, 2.0), st.floats(-5.0, 5.0))
+    def test_equals_the_operator_engine(self, table, which, m, gamma, x, xp,
+                                        t):
+        # sigma-free tables, M^2 > 0; [Omega, Pi] is a delta when weighted
+        p = FieldParams(m=m, gamma=gamma)
+        weighted = which == "omega_pi"
+        engine = lattice_commutator(which, x, xp, t, p, table, weighted)
+        scale = sum(c.norm() for c in _contraction_terms(
+            which, x, xp, t, p, table, weighted))
+        route = delta_commutator(which, xp - x, p, table)
+        assert (engine - route).norm() <= 1e-12 * scale
 
 
 class TestLatticeRoute:
@@ -431,9 +475,9 @@ class TestWeighted:
         wpp = weighted_commutators("pi_pi", 1.0, p, t)
         assert wpp.value_at(1.0).is_close(
             Bicomplex(2 * 0.6019072301972346), 1e-10)
-        wop = weighted_commutators("omega_pi", 1.0, p, t)
-        assert wop.coefficient.is_close(Bicomplex.from_complex(-1j)
-                                        * sum_bracket(t), 1e-14)
+        wop = delta_commutator("omega_pi", 1.0, p, t)
+        assert wop.is_close(Bicomplex.from_complex(-1j) * sum_bracket(t)
+                            * profile(1.0, t), 1e-14)
 
     def test_weighted_vs_quadrature(self):
         p = FieldParams(m=1.0, gamma=0.0)
