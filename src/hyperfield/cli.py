@@ -277,6 +277,9 @@ def cmd_commutator(args, cfg: dict) -> int:
     # a span, M^2 or table entry can overflow though each flag is finite
     if not all(math.isfinite(c) for row in rows for c in row):
         raise ConfigError(f"the {args.which} sweep overflows to non-finite rows")
+    if not all(s.is_zero() for s in table.sigma):
+        print("warning: commutator kernels are the sigma = 0 forms; the "
+              "config's nonzero sigma is ignored", file=sys.stderr)
     if args.which not in _FIGURE_OF:
         _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"],

@@ -182,71 +182,41 @@ def criterion_2_dispersion_eom() -> dict:
 # -- 3: damping-factor cancellation ------------------------------------------
 
 # rho of a sigma-free table that tells the brackets apart, which the default
-# and generic tables cannot: B_diff = (0.8, 0, 0, -0.4), B_sum = (1.2, 0, 0, 0.2)
+# and generic tables cannot: B_diff = (0.8, 0, 0, -0.4), B_sum = (1.2, 0, 0, 0.2).
+# Criterion 3 runs on it at both staggers, plus the table the caller passes
 BRACKET_RHO = (Bicomplex(0.9, 0.2, 0.1, -0.3), Bicomplex(0.4, -0.1, 0.2, 0.3),
                Bicomplex(0.5, 0.1, 0.0, 0.2), Bicomplex(0.3, -0.2, 0.1, 0.1))
 
 
 def criterion_3_commutator_invariance(table: CommutationTable | None = None) -> dict:
-    table = table or generic_table(delta_k=0.25, N=5)
-    x, xp = 0.3, 1.1
-    checks = []
-
-    # differences are scaled by the sum of the contraction's term magnitudes,
+    # the delta route has no t and no damping factor, so the operator engine
+    # equal to it at a (t, gamma) is free of damping factors there.  The
+    # difference is scaled by the sum of the contraction's term magnitudes,
     # which cannot vanish as the commutator does (B_diff = 0 at rho1 = rho4);
     # [Omega, Pi] is contracted with the weighted measure, where it is a delta
-    def contract(which: str, t: float, p: FieldParams, lattice=table, x=x,
-                 xp=xp):
-        total, scale = Bicomplex.zero(), 0.0
-        for term in fc._contraction_terms(which, x, xp, t, p, lattice,
-                                          which == "omega_pi"):
-            total = total + term
-            scale += term.norm()
-        return total, max(scale, 1e-30)
-
-    def compare(name: str, which: str, base, t: float, p: FieldParams):
-        (value, scale), (other, _) = base, contract(which, t, p)
-        checks.append((name, (value - other).norm() / scale, 1e-12, "<="))
-
-    # t-independence of both commutators at each gamma
-    for gamma in (0.0, 1.0, 2.0):
-        p = FieldParams(m=1.5, gamma=gamma)
-        for which in ("omega_omega", "pi_pi"):
-            base = contract(which, 0.0, p)
-            for t in (1.0, 10.0):
-                compare(f"{which} t={t:g} vs 0 at gamma={gamma:g}", which,
-                        base, t, p)
-
-    # gamma-independence: [Omega,Omega+] at fixed m; [Pi,Pi+] at fixed M^2
-    p_ref = FieldParams(m=1.5, gamma=0.0)
-    base_oo = contract("omega_omega", 0.7, p_ref)
-    base_pp = contract("pi_pi", 0.7, p_ref)
-    for gamma in (1.0, 2.0):
-        compare(f"omega_omega gamma={gamma:g} vs 0", "omega_omega", base_oo,
-                0.7, FieldParams(m=1.5, gamma=gamma))
-        m_adj = math.sqrt(p_ref.m2_mod + gamma * gamma / 4.0)
-        compare(f"pi_pi gamma={gamma:g} vs 0 at fixed M^2", "pi_pi", base_pp,
-                0.7, FieldParams(m=m_adj, gamma=gamma))
-
-    # the delta route against the operator engine, on BRACKET_RHO whatever
-    # table was passed in
-    p = FieldParams(m=1.2, gamma=0.6)
+    lattices = [CommutationTable(rho=BRACKET_RHO, delta_k=0.25, N=4,
+                                 stagger=stagger) for stagger in (False, True)]
+    lattices += [table] if table is not None else []
+    checks = []
     for which in ("omega_omega", "pi_pi", "omega_pi"):
         errors = []
-        for stagger in (False, True):
-            lattice = CommutationTable(rho=BRACKET_RHO, delta_k=0.25, N=4,
-                                       stagger=stagger)
-            for x0, x1, t in ((0.3, 1.1, 0.7), (-0.4, 2.1, 3.0)):
-                value, scale = contract(which, t, p, lattice, x0, x1)
-                route = fc.delta_commutator(which, x1 - x0, p, lattice)
-                errors.append((value - route).norm() / scale)
+        for lattice in lattices:
+            for n, (t, gamma) in enumerate(((0.0, 0.0), (1.0, 0.0), (10.0, 0.0),
+                                            (0.0, 2.0), (10.0, 2.0), (1.0, 1.0))):
+                x, xp = ((0.3, 1.1), (-0.4, 2.1))[n % 2]
+                p = FieldParams(m=1.5, gamma=gamma)
+                terms = list(fc._contraction_terms(which, x, xp, t, p, lattice,
+                                                   which == "omega_pi"))
+                route = fc.delta_commutator(which, xp - x, p, lattice)
+                errors.append((sum(terms, Bicomplex.zero()) - route).norm()
+                              / max(sum(term.norm() for term in terms), 1e-30))
         name = "weighted omega_pi" if which == "omega_pi" else which
         checks.append((f"{name} delta route vs engine", max(errors), 1e-12,
                        "<="))
     return _report(3, "equal-time commutators free of damping factors",
-                   "ring equality across t in {0,1,10}, gamma in {0,1,2}, "
-                   "and of the delta route with the operator engine (1e-12 "
-                   "of the sum of term magnitudes)", checks)
+                   "ring equality of the operator engine with the damping-free "
+                   "delta route at t in {0,1,10}, gamma in {0,1,2} (1e-12 of "
+                   "the sum of term magnitudes)", checks)
 
 
 # -- 4: closed form vs quadrature oracle -------------------------------------
@@ -442,8 +412,6 @@ def criterion_10_cyclostationarity(table: CommutationTable | None = None) -> dic
     checks += [(f"|growth rate - predicted| at t={d['t']:g}",
                 abs(d["modulus_growth_rate"] - d["predicted_growth_rate"]),
                 0.01 * d["predicted_growth_rate"], "<=") for d in diagg]
-    checks.append(("non-divergent t at gamma=0.7",
-                   sum(not d["divergent"] for d in diagg), 0, "=="))
     return _report(10, "infinite geometry: oscillation vs divergence",
                    "modulus drift < 1e-12 on t in [0, 100] at gamma = 0; "
                    "growth rate within 1% of gamma * lattice sum at gamma > 0",

@@ -94,6 +94,24 @@ class TestCommutatorSweep:
         assert r.returncode == 0, r.stderr
         assert r.stderr.startswith("warning: lattice span")
 
+    @pytest.mark.parametrize("which", ["omega-omega", "omega-pi"])
+    def test_nonzero_sigma_warns_and_leaves_rows(self, tmp_path, which):
+        # every kernel is the sigma = 0 form, for delta and Bessel verbs alike
+        cfg = tmp_path / "sigma.json"
+        cfg.write_text(json.dumps({"sigma": [[0.1, 0.0, 0.0, 0.0]] * 4}))
+        sweep = ["commutator", "--which", which, "--x-min", "0.5", "--x-max",
+                 "2", "--steps", "3"]
+        plain = run_cli([*sweep, "--output", "plain.csv"], tmp_path)
+        r = run_cli(["--config", str(cfg), *sweep, "--output", "sigma.csv"],
+                    tmp_path)
+        assert plain.returncode == r.returncode == 0, r.stderr
+        assert "sigma" not in plain.stderr
+        assert r.stderr.splitlines() == [
+            "warning: commutator kernels are the sigma = 0 forms; the "
+            "config's nonzero sigma is ignored", *plain.stderr.splitlines()]
+        assert ((tmp_path / "sigma.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
     def test_delta_kernel_profiles(self, tmp_path):
         r = run_cli(["commutator", "--which", "omega-omega", "--x-min", "0.1",
                      "--x-max", "2", "--steps", "5"], tmp_path)
@@ -278,6 +296,10 @@ class TestConfig:
         ["commutator", "--which", "omega-pi", "--m", "1e200"],  # M^2 overflows
         [{"rho": [[1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
                   [-1e308, 0, 0, 0]]}, "commutator", "--which", "omega-omega"],
+        # a refusal prints no sigma warning besides its one line
+        [{"rho": [[1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                  [-1e308, 0, 0, 0]], "sigma": [[0.1, 0, 0, 0]] * 4},
+         "commutator", "--which", "omega-omega"],
         # the pi-pi weight squares momenta past the float range
         [{"delta_k": 1e300}, "commutator", "--which", "pi-pi", "--steps", "3"],
         # typed package errors: an unstaggered lattice holds k = 0, M^2 < 0
@@ -299,7 +321,8 @@ class TestConfig:
             "asymptotic_order4_amplitudes_overflow",
             "asymptotic_norm_overflows", "sweep_x_min_nan",
             "sweep_span_overflows", "sweep_m2_overflows",
-            "sweep_rho_overflows", "sweep_momenta_square_overflows",
+            "sweep_rho_overflows", "sweep_rho_overflows_with_sigma",
+            "sweep_momenta_square_overflows",
             "pole_at_zero_momentum", "evolve_imaginary_frequency",
             "asymptotic_imaginary_frequency", "truncation_cap"])
     def test_malformed_flag_is_usage_error(self, tmp_path, tmp_path_factory,
@@ -379,6 +402,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL] criterion  3" in out
+        assert "criteria failed: 3\n" in out  # and no other criterion
 
 
 def test_readme_cli_examples_parse():
