@@ -7,6 +7,7 @@ its check records, and that seeded defects fail through them.
 """
 
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -353,6 +354,13 @@ def test_table_goes_only_to_criteria_that_take_one(monkeypatch):
     monkeypatch.setattr(vf, "CRITERIA", [criterion_1_plain, criterion_2_table])
     assert all(r["passed"] for r in vf.run_all(table="T"))
     assert seen == [None, "T"]
+
+
+def test_only_criteria_3_and_7_take_a_table():
+    # the two whose checks read rho or sigma; the others run on fixed tables
+    assert [fn.__name__ for fn in vf.CRITERIA
+            if "table" in inspect.signature(fn).parameters] == [
+        "criterion_3_commutator_invariance", "criterion_7_vev_cancellation"]
 
 
 def test_report_line_ends_with_worst_margin():

@@ -404,6 +404,23 @@ class TestVerifyCommand:
         assert "[FAIL] criterion  3" in out
         assert "criteria failed: 3\n" in out  # and no other criterion
 
+    @pytest.mark.parametrize("config", [
+        {"rho": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        {"rho": [[1e9, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+        {"delta_k": 1e-4}], ids=["rho1_rho4_1", "rho1_1e9", "delta_k_1e-4"])
+    def test_valid_table_passes_every_criterion(self, tmp_path, capsys,
+                                                monkeypatch, config):
+        # the table reaches criteria 3 and 7 only, and both hold on these
+        # sigma-free tables: B_diff = 0, a large bracket and a fine lattice
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "table.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["--config", str(cfg), "verify"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.count("[PASS]") == 12
+        assert out.endswith("all criteria pass\n")
+
 
 def test_readme_cli_examples_parse():
     """Each `hyperfield ...` line of README's CLI sh block parses, so a flag
