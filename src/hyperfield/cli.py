@@ -22,8 +22,8 @@ from .modes import FieldParams
 from .observables import GeometrySpec
 from .operators import CommutationTable
 from .ring import Bicomplex
-from .states import (asymptotic_state_finite, asymptotic_state_infinite,
-                     evolve_vacuum, norm_deviation, schmidt_rank)
+from .states import (amplitude_norm_deviation, asymptotic_state_finite,
+                     asymptotic_state_infinite, evolve_vacuum, schmidt_rank)
 
 DEFAULT_CONFIG = {
     "m": 1.0,
@@ -183,19 +183,20 @@ def _write_json(path: str, payload) -> None:
     _write(path, itertools.chain(encoder.iterencode(payload), "\n"))
 
 
-def _state_chunks(payload: dict):
-    """json.dump(payload, fh, indent=2, sort_keys=True) and "\n", in chunks.
+def _state_chunks(kets, truncation_order: int):
+    """json.dump(state.to_jsonable(), fh, indent=2, sort_keys=True) and
+    "\n", in chunks.
 
-    One chunk per ket of a StateVector.to_jsonable payload, whose
-    amplitudes are already in sort_keys order.  Each distinct finite
-    nonzero float's text is made once per dump.
+    kets are the state's (label, key, amplitude) rows, float components,
+    as StateVector.kets() lists them: in sort_keys order, so nothing is
+    sorted or copied, and one chunk per ket.  Each distinct finite nonzero
+    float's text is made once per dump.
     """
-    amps = payload["amplitudes"]
     yield '{\n  "amplitudes": {'
     sep = "\n"
     texts: dict = {}
     get = texts.get
-    for label, (x, y, u, v) in amps.items():
+    for label, _key, (x, y, u, v) in kets:
         x = get(x) or _float_text(x, texts)
         y = get(y) or _float_text(y, texts)
         u = get(u) or _float_text(u, texts)
@@ -203,8 +204,8 @@ def _state_chunks(payload: dict):
         yield (f"{sep}    {json.encoder.encode_basestring_ascii(label)}: [\n"
                f"      {x},\n      {y},\n      {u},\n      {v}\n    ]")
         sep = ",\n"
-    close = "\n  }" if amps else "}"
-    yield f'{close},\n  "truncation_order": {payload["truncation_order"]!r}\n}}\n'
+    close = "}" if sep == "\n" else "\n  }"
+    yield f'{close},\n  "truncation_order": {truncation_order!r}\n}}\n'
 
 
 def _float_text(c: float, texts: dict) -> str:
@@ -220,20 +221,37 @@ def _float_text(c: float, texts: dict) -> str:
 # -- verbs -------------------------------------------------------------------
 
 def _dump_state(state, table, args, cfg: dict, name: str, what: str):
-    """Write a state dump after its checks; return (deviation, path, rank).
+    """Write a state dump after its checks; return (deviation, kets, path,
+    rank).
 
-    The state is refused, before anything is written, when its norm
-    deviation is not finite: an amplitude or the norm has overflowed, and
-    the rank's SVD cannot take it.  The rank splits each ket at the
-    lattice's first momentum index.
+    One walk over state.kets() makes the dump's chunks, held until the
+    checks pass, and sums the norm deviation in that order, the order of
+    the map norm_deviation(state) would read; no ket map or row is kept.
+    The state is refused, before anything is written, when the deviation
+    is not finite: an amplitude or the norm has overflowed, and the rank's
+    SVD cannot take it.  The rank splits each ket at the lattice's first
+    momentum index.
     """
-    dev = norm_deviation(state)
+    rows, kets = itertools.tee(state.kets())
+    writer = _state_chunks(rows, state.truncation_order)
+    chunks = [next(writer)]  # the opening, made before any ket is read
+
+    def amplitudes():
+        # zip reads each ket first, so the chunk it takes next is that
+        # ket's and the tee holds one ket at a time
+        for (_label, _key, amp), chunk in zip(kets, writer):
+            chunks.append(chunk)
+            yield amp
+
+    dev = amplitude_norm_deviation(amplitudes())
     if not math.isfinite(dev):
         raise ConfigError(f"{what} overflows the {name} state")
+    count = len(chunks) - 1
+    chunks.extend(writer)  # the closing
     _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"], f"{name}_state.json")
-    _write(out, _state_chunks(state.to_jsonable()))
-    return dev, out, schmidt_rank(state, {table.momentum_indices()[0]})
+    _write(out, chunks)
+    return dev, count, out, schmidt_rank(state, {table.momentum_indices()[0]})
 
 
 def cmd_ring_check(args, _cfg: dict) -> int:
@@ -298,9 +316,9 @@ def cmd_evolve(args, cfg: dict) -> int:
     geom = _geometry(cfg)
     order = cfg["truncation_order"]
     state = evolve_vacuum(args.t, order, params, geom, table)
-    dev, out, rank = _dump_state(state, table, args, cfg, "evolved",
-                                  f"--t {args.t:g}")
-    print(f"t={args.t} order={order} kets={len(state.amplitudes)} "
+    dev, kets, out, rank = _dump_state(state, table, args, cfg, "evolved",
+                                        f"--t {args.t:g}")
+    print(f"t={args.t} order={order} kets={kets} "
           f"norm_deviation={dev:.3e} schmidt_rank={rank}")
     if geom.kind == "infinite_line" and params.gamma > 0:
         diag = asymptotic_state_infinite([max(args.t, 1.0)], params, table)[0]
@@ -318,9 +336,9 @@ def cmd_asymptotic(args, cfg: dict) -> int:
     if args.geometry == "finite":
         L1, L2 = cfg["geometry"]["L1"], cfg["geometry"]["L2"]
         state = asymptotic_state_finite(order, params, L1, L2, table)
-        _, out, rank = _dump_state(state, table, args, cfg, "asymptotic",
-                                   f"interval [{L1:g}, {L2:g}]")
-        print(f"finite [{L1}, {L2}] order={order} kets={len(state.amplitudes)} "
+        _, kets, out, rank = _dump_state(state, table, args, cfg, "asymptotic",
+                                         f"interval [{L1:g}, {L2:g}]")
+        print(f"finite [{L1}, {L2}] order={order} kets={kets} "
               f"schmidt_rank={rank}")
         print(f"wrote state to {out}")
         return 0

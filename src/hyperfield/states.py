@@ -10,7 +10,10 @@ The creation part of the evolution exponent acts as a commuting family of
 label appenders, so the truncated exponential is a plain multiset
 expansion with per-label scalar weights.  The state keeps those weights,
 and its Schmidt spectrum across a momentum cut is read off them through
-an (n+1) x (n+1) degree-block matrix per sector, never off the kets.
+an (n+1) x (n+1) degree-block matrix per sector, never off the kets.  Its
+kets are listed, in the label-string order of a state dump, by a walk
+over the weights; the ket map is built from that walk only when a
+state's amplitudes are first read.
 """
 
 from __future__ import annotations
@@ -41,39 +44,51 @@ class StateVector:
     of the exponent to its complex weight z when the state is that
     exponent's truncated expansion ({} for the vacuum), and is None for a
     state built by hand, summed or projected, whose kets need not factor.
+
+    An expansion is built without its map: amplitudes is filled from the
+    kets() walk, in that walk's order, when it is first read.  The CLI's
+    state dumps read kets() alone and never build it.
     """
 
-    __slots__ = ("amplitudes", "truncation_order", "weights")
+    __slots__ = ("_amplitudes", "truncation_order", "weights")
 
     def __init__(self, amplitudes: dict | None = None, truncation_order: int = 0,
                  weights: dict | None = None):
-        self.amplitudes = {} if amplitudes is None else amplitudes
+        self._amplitudes = ({} if amplitudes is None and weights is None
+                            else amplitudes)
         self.truncation_order = truncation_order
         self.weights = weights
+
+    @property
+    def amplitudes(self) -> dict:
+        if self._amplitudes is None:
+            self._amplitudes = {key: amp for _label, key, amp in self.kets()}
+        return self._amplitudes
 
     @staticmethod
     def vacuum() -> "StateVector":
         return StateVector({(): Bicomplex.one()}, 0, {})
 
-    def inner(self, other: "StateVector") -> Bicomplex:
-        """Ring inner product sum_K conj(amp_K) other_amp_K.
+    def kets(self):
+        """(label, key, amplitude) of every ket, in label-string order.
 
-        Each term is conj(a) * b written out with Bicomplex.__mul__'s
-        grouping and summed into four floats, so no per-ket ring object
-        is built and the result keeps the ring product's bits.
+        The label is "vacuum" for the empty key, else the "tag:k,kp,flag"
+        pair labels joined by ";"; its order is the one json's sort_keys
+        gives.  An expansion whose map is unbuilt is walked label by label
+        (_expansion_kets); a map is sorted by label.
         """
-        sx = sy = su = sv = 0.0
+        if self._amplitudes is None:
+            return _expansion_kets(self.weights, self.truncation_order)
+        names = {p: _label_text(p)
+                 for p in {p for key in self._amplitudes for p in key}}
+        return sorted((";".join([names[p] for p in key]) or "vacuum", key, amp)
+                      for key, amp in self._amplitudes.items())
+
+    def inner(self, other: "StateVector") -> Bicomplex:
+        """Ring inner product sum_K conj(amp_K) other_amp_K (_conj_sum)."""
         mates = other.amplitudes
-        for key, amp in self.amplitudes.items():
-            mate = mates.get(key)
-            if mate is not None:
-                x, y, u, v = amp
-                e, f, g, h = mate
-                sx += (x * e - u * g) - (v * h - y * f)
-                sy += (x * f - u * h) + (v * g - y * e)
-                su += (x * g - u * e) - (v * f - y * h)
-                sv += (x * h - u * f) + (v * e - y * g)
-        return Bicomplex(sx, sy, su, sv)
+        return _conj_sum((amp, mates[key])
+                         for key, amp in self.amplitudes.items() if key in mates)
 
     def __add__(self, other: "StateVector") -> "StateVector":
         out = dict(self.amplitudes)
@@ -89,19 +104,31 @@ class StateVector:
         return {k for k in self.amplitudes if k != ()}
 
     def to_jsonable(self) -> dict:
-        """Ket label -> four real amplitude components.
-
-        Keys are sorted once, by the label string ("vacuum" for the empty
-        label, else "tag:k,kp,flag" pair labels joined by ";"): the order
-        json's sort_keys gives, so a dump need not sort again.
-        """
-        names = {p: f"{p[0]}:{p[1]},{p[2]},{p[3]}"
-                 for p in {p for key in self.amplitudes for p in key}}
-        rows = sorted([(";".join([names[p] for p in key]) or "vacuum", amp)
-                       for key, amp in self.amplitudes.items()])
+        """Ket label -> four real amplitude components, in kets() order."""
         amps = {label: [float(x), float(y), float(u), float(v)]
-                for label, (x, y, u, v) in rows}
+                for label, _key, (x, y, u, v) in self.kets()}
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
+
+
+def _conj_sum(pairs) -> Bicomplex:
+    """sum conj(a) * b over the (a, b) amplitude pairs, in their order.
+
+    Each term is conj(a) * b written out with Bicomplex.__mul__'s
+    grouping and summed into four floats, so no per-ket ring object is
+    built and the result keeps the ring product's bits.
+    """
+    sx = sy = su = sv = 0.0
+    for (x, y, u, v), (e, f, g, h) in pairs:
+        sx += (x * e - u * g) - (v * h - y * f)
+        sy += (x * f - u * h) + (v * g - y * e)
+        su += (x * g - u * e) - (v * f - y * h)
+        sv += (x * h - u * f) + (v * e - y * g)
+    return Bicomplex(sx, sy, su, sv)
+
+
+def _label_text(label: tuple) -> str:
+    tag, i, j, flag = label
+    return f"{tag}:{i},{j},{flag}"
 
 
 def _expand_exponential(pairs: dict, order: int) -> StateVector:
@@ -110,43 +137,69 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
     pairs maps (k, kp) index pairs to complex weights.  Each pair gives the
     labels (tag, k, kp, flag) of both orderings in both sectors: '2ba' with
     a J+ ring amplitude, '1ab' with J-.  Mixed-sector products vanish
-    (J+ J- = 0), so the two sectors expand independently.
+    (J+ J- = 0), so the two sectors expand independently.  The basis size
+    is checked against BASIS_CAP from the multiset counts, zero kets
+    included, before any ket is listed; the kets are listed by
+    _expansion_kets when the state's kets() or amplitudes are read.
     """
-    amps: dict = {(): Bicomplex.one()}
-    weights: dict = {}
-
-    for tag in (TAG_MIRROR, TAG_SYSTEM):
-        labels = sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
-                         for flag in (0, 1)}.items())
-        weights.update(labels)
-        if not labels:
-            continue
-        plus = tag == TAG_MIRROR
-        # degree n extends each degree n - 1 prefix, zero amplitudes too, by
-        # every label at or after its last: combinations_with_replacement
-        # order and left-to-right products.  A prefix is (key, index of its
-        # last label, scalar, multiplicity, run of its last label)
-        prefixes = [((), 0, complex(1.0), 1, 0)]
+    size, per_sector = 1, 2 * len(pairs)
+    for _tag in (TAG_MIRROR, TAG_SYSTEM):
         for n in range(1, order + 1):
-            count = math.comb(len(labels) + n - 1, n)
-            if len(amps) + count > BASIS_CAP:
+            size += math.comb(per_sector + n - 1, n)
+            if size > BASIS_CAP:
                 raise TruncationOrderTooLarge(
                     f"basis would exceed cap {BASIS_CAP} at order {n}")
-            grown = []
-            for key, last, prefix, pmult, prun in prefixes:
-                for idx in range(last, len(labels)):
-                    name, z = labels[idx]
-                    scalar = prefix * z
-                    run = prun + 1 if idx == last else 1
-                    mult = pmult * run
-                    combo = key + (name,)
-                    if n < order:
-                        grown.append((combo, idx, scalar, mult, run))
-                    amp = in_sector(plus, scalar / mult)
+    weights: dict = {}
+    for tag in (TAG_MIRROR, TAG_SYSTEM):
+        weights.update(sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
+                               for flag in (0, 1)}.items()))
+    return StateVector(None, order, weights)
+
+
+def _expansion_kets(weights: dict, order: int):
+    """(label, key, amplitude) of the truncated exponential's nonzero kets.
+
+    The kets come in label-string order: the '1ab' sector, then '2ba',
+    then the vacuum.  Within a sector a depth-first walk lists each
+    multiset before its extensions, and extends a prefix only by labels at
+    or after its last in tuple order, taken in label-string order; since
+    no label's text is a prefix of another's, that is the order of the
+    joined labels.  Each product forms left to right in tuple order, a
+    repeated label's run divides it through the multiplicity, and a zero
+    amplitude is skipped but still extended.
+    """
+    for tag in (TAG_SYSTEM, TAG_MIRROR):
+        labels = sorted(p for p in weights if p[0] == tag)
+        plus = tag == TAG_MIRROR
+        zs = [weights[p] for p in labels]
+        names = [_label_text(p) for p in labels]
+        by_text = sorted(range(len(labels)), key=names.__getitem__)
+        # the extensions of a prefix ending at labels[last], in label-string
+        # order; the stack takes them reversed, so it pops them in order
+        later = [[idx for idx in by_text if idx >= last]
+                 for last in range(len(labels))]
+        # a prefix is (text, key, index of its last label, scalar,
+        # multiplicity, run of its last label)
+        stack = [("", (), 0, complex(1.0), 1, 0)] if labels else []
+        while stack:
+            text, key, last, scalar, mult, run = stack.pop()
+            if key:
+                amp = in_sector(plus, scalar / mult)
+                if any(amp):
+                    yield text, key, amp
+                text += ";"
+            if len(key) + 1 < order:
+                for idx in reversed(later[last]):
+                    r = run + 1 if idx == last else 1
+                    stack.append((text + names[idx], key + (labels[idx],), idx,
+                                  scalar * zs[idx], mult * r, r))
+            elif len(key) < order:  # the extensions are leaves: list them here
+                for idx in later[last]:
+                    r = run + 1 if idx == last else 1
+                    amp = in_sector(plus, scalar * zs[idx] / (mult * r))
                     if any(amp):
-                        amps[combo] = amp
-            prefixes = grown
-    return StateVector(amps, order, weights)
+                        yield text + names[idx], key + (labels[idx],), amp
+    yield "vacuum", (), Bicomplex.one()
 
 
 def evolve_vacuum(t: float, order: int, params: FieldParams,
@@ -179,7 +232,13 @@ def norm_preservation(t: float, order: int, params: FieldParams,
 
 def norm_deviation(state: StateVector) -> float:
     """|<state|state> - 1| in the ring pairing (see norm_preservation)."""
-    return (state.inner(state) - Bicomplex.one()).norm()
+    return amplitude_norm_deviation(state.amplitudes.values())
+
+
+def amplitude_norm_deviation(amps) -> float:
+    """|sum conj(a) a - 1| over the amplitudes a of a state's kets, summed
+    in the order given: norm_deviation of a state whose map lists them so."""
+    return (_conj_sum((a, a) for a in amps) - Bicomplex.one()).norm()
 
 
 def eta_k(k: float, params: FieldParams) -> complex:

@@ -12,7 +12,9 @@ commutator that decides its lattice-delta support on momenta
 rather than indices, and the Hamiltonian weights built through a geometry
 factor that evaluates omega four times per momentum pair.  Also the
 ring-object routes of the state expansion and the inner product, which
-the package replaced by closed forms; the Schmidt spectrum from the
+the package replaced by closed forms, and the breadth-first expansion
+into a ket map that the package replaced by a depth-first walk in dump
+order; the Schmidt spectrum from the
 ket-by-ket matrix, which the package reads off the label weights; the
 ring property suite in Fraction arithmetic, which the package runs on
 integers, and a broken product that fails it.  Last, the ring element
@@ -37,15 +39,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 import hyperfield.commutators as fc
-from hyperfield.errors import DomainError, UndeterminedByAxioms
+from hyperfield import states
+from hyperfield.errors import (DomainError, TruncationOrderTooLarge,
+                               UndeterminedByAxioms)
 from hyperfield.modes import omega
 from hyperfield.observables import (INFINITE_LINE, TWO_PI, geometry_kernel,
                                     h_gamma, hamiltonian_terms)
 from hyperfield.operators import (_A_FAMILY, _RHO_INDEX, CommutationTable,
                                   ModeOp, OperatorPoly, commutator,
                                   normal_order)
-from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS, idempotents_exact
-from hyperfield.states import TAG_MIRROR, TAG_SYSTEM
+from hyperfield.ring import (Bicomplex, J_MINUS, J_PLUS, idempotents_exact,
+                             in_sector)
+from hyperfield.states import TAG_MIRROR, TAG_SYSTEM, StateVector
 
 SPECIES = ("a1", "b1", "a2", "b2")
 
@@ -103,7 +108,7 @@ def expand_exponential_ring(pairs: dict, order: int) -> dict:
     """Amplitudes of the truncated exponential as ring products.
 
     Each amplitude is sector * Bicomplex.from_complex(scalar / mult), in
-    the insertion order of states._expand_exponential.
+    the insertion order of expand_exponential_breadth_first.
     """
     amps = {(): Bicomplex.one()}
     for tag, sector in ((TAG_MIRROR, J_PLUS), (TAG_SYSTEM, J_MINUS)):
@@ -120,6 +125,51 @@ def expand_exponential_ring(pairs: dict, order: int) -> dict:
                 if not amp.is_zero():
                     amps[combo] = amp
     return amps
+
+
+def expand_exponential_breadth_first(pairs: dict, order: int) -> StateVector:
+    """The package's former expansion: a ket map built degree by degree.
+
+    Sector '2ba' and then '1ab'; degree n extends each degree n - 1
+    prefix, zero amplitudes too, by every label at or after its last in
+    tuple order (combinations_with_replacement order), forming products
+    left to right with the closed-form ring.in_sector amplitude.  Before
+    each degree the nonzero kets so far plus that degree's multiset count
+    are checked against states.BASIS_CAP.
+    """
+    amps: dict = {(): Bicomplex.one()}
+    weights: dict = {}
+
+    for tag in (TAG_MIRROR, TAG_SYSTEM):
+        labels = sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
+                         for flag in (0, 1)}.items())
+        weights.update(labels)
+        if not labels:
+            continue
+        plus = tag == TAG_MIRROR
+        # a prefix is (key, index of its last label, scalar, multiplicity,
+        # run of its last label)
+        prefixes = [((), 0, complex(1.0), 1, 0)]
+        for n in range(1, order + 1):
+            count = math.comb(len(labels) + n - 1, n)
+            if len(amps) + count > states.BASIS_CAP:
+                raise TruncationOrderTooLarge(
+                    f"basis would exceed cap {states.BASIS_CAP} at order {n}")
+            grown = []
+            for key, last, prefix, pmult, prun in prefixes:
+                for idx in range(last, len(labels)):
+                    name, z = labels[idx]
+                    scalar = prefix * z
+                    run = prun + 1 if idx == last else 1
+                    mult = pmult * run
+                    combo = key + (name,)
+                    if n < order:
+                        grown.append((combo, idx, scalar, mult, run))
+                    amp = in_sector(plus, scalar / mult)
+                    if any(amp):
+                        amps[combo] = amp
+            prefixes = grown
+    return StateVector(amps, order, weights)
 
 
 def schmidt_spectrum_dense(state, partition: set) -> list:

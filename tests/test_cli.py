@@ -168,12 +168,12 @@ class TestStateWriter:
     @pytest.mark.parametrize("seed", range(6))
     def test_bytes_match_json_dump(self, seed):
         rng = random.Random(seed)
-        payload = self.random_state(rng, 8 * seed).to_jsonable()
-        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        chunks = list(cli._state_chunks(payload))
+        state = self.random_state(rng, 8 * seed)
+        want = json.dumps(state.to_jsonable(), indent=2, sort_keys=True) + "\n"
+        chunks = list(cli._state_chunks(state.kets(), state.truncation_order))
         assert "".join(chunks) == want
         # streamed: one chunk per ket plus the opening and the closing
-        assert len(chunks) == len(payload["amplitudes"]) + 2
+        assert len(chunks) == len(state.amplitudes) + 2
 
     def test_recurring_components(self):
         # each value recurs across kets and within one: a text kept per
@@ -185,11 +185,33 @@ class TestStateWriter:
                 for i in range(6) for j in range(4)}
         amps.update({(("1ab", 9, 9, 1),) * (n + 1): Bicomplex(c, c, c, c)
                      for n, c in enumerate(values)})
-        payload = StateVector(amps, 6).to_jsonable()
-        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        chunks = list(cli._state_chunks(payload))
+        state = StateVector(amps, 6)
+        want = json.dumps(state.to_jsonable(), indent=2, sort_keys=True) + "\n"
+        chunks = list(cli._state_chunks(state.kets(), 6))
         assert "".join(chunks) == want
-        assert len(chunks) == len(payload["amplitudes"]) + 2
+        assert len(chunks) == len(amps) + 2
+
+
+@pytest.mark.parametrize("verb, builder", [
+    (["evolve", "--t", "0.3", "--order", "2"], "evolve_vacuum"),
+    (["asymptotic", "--geometry", "finite", "--order", "2"],
+     "asymptotic_state_finite")])
+def test_printed_kets_count_the_dump_and_the_map(monkeypatch, capsys, tmp_path,
+                                                 verb, builder):
+    built = []
+    make = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda *a, **kw: (
+        built.append(make(*a, **kw)) or built[-1]))
+    # the verb walks the kets and builds no ket map
+    monkeypatch.setattr(StateVector, "amplitudes", property(
+        lambda _state: pytest.fail("the verb built the ket map")))
+    out = tmp_path / "state.json"
+    assert main([*verb, "--output", str(out)]) == 0
+    monkeypatch.undo()
+    kets = int(capsys.readouterr().out.split(" kets=")[1].split()[0])
+    state, = built
+    assert kets == len(json.loads(out.read_text())["amplitudes"])
+    assert kets == len(state.amplitudes) == 4289  # 1 + 2 (64 + 2080)
 
 
 class TestAsymptotic:

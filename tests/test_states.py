@@ -1,11 +1,13 @@
+import argparse
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import algebra_reference as ref
-from hyperfield import states
+from hyperfield import cli, states
 from hyperfield.errors import (DomainError, PoleAtZeroMomentum,
                                TruncationOrderTooLarge)
 from hyperfield.modes import FieldParams, omega
@@ -63,6 +65,18 @@ class TestEvolveVacuum:
         with pytest.raises(TruncationOrderTooLarge,
                            match=r"^basis would exceed cap 100 at order 2$"):
             evolve_vacuum(0.7, 3, params, GEOM, table)
+
+    def test_basis_cap_counts_zero_kets(self, monkeypatch):
+        # degree-2 and degree-3 products of these weights underflow to zero:
+        # the breadth-first route counted nonzero kets, 29 at most, and
+        # passed; every multiset counts now, 1 + (4 + 10 + 20) + (4 + 10)
+        # = 49 > 40 at order 2 of the second sector
+        monkeypatch.setattr(states, "BASIS_CAP", 40)
+        pairs = {(0, 0): complex(1e-200), (1, 1): complex(1e-200)}
+        assert len(ref.expand_exponential_breadth_first(pairs, 3).amplitudes) == 9
+        with pytest.raises(TruncationOrderTooLarge,
+                           match=r"^basis would exceed cap 40 at order 2$"):
+            states._expand_exponential(pairs, 3)
 
     def test_riemann_refinement(self, params):
         def total_first_order(dk, n):
@@ -389,6 +403,18 @@ def _hexes(amps: dict) -> list:
             for key, a in amps.items()]
 
 
+def _in_order_of(state, amps: dict) -> dict:
+    """amps reordered as the state's map, or unchanged if their keys differ.
+
+    The package lists an expansion's kets depth-first in label-string
+    order, the ring route breadth-first; the same kets must agree bit for
+    bit, and an inner product summed in the same order must too.
+    """
+    if set(amps) != set(state.amplitudes):
+        return amps
+    return {key: amps[key] for key in state.amplitudes}
+
+
 def _expanded(monkeypatch, build):
     """Run build(); return the (pairs, order) it expanded and its state."""
     seen = []
@@ -433,7 +459,7 @@ class TestAgainstRingRoutes:
             "asymptotic_cross_term"])
     def test_expansion_and_inner_bit_identical(self, monkeypatch, build):
         pairs, order, state = _expanded(monkeypatch, build)
-        want = ref.expand_exponential_ring(pairs, order)
+        want = _in_order_of(state, ref.expand_exponential_ring(pairs, order))
         assert _hexes(state.amplitudes) == _hexes(want)
         ip = state.inner(state)
         assert _hexes({0: ip}) == _hexes({0: ref.inner_ring(want, want)})
@@ -479,10 +505,61 @@ class TestAgainstRingRoutes:
                        (2, 2): complex(-1.5, 0.25)}):
             for order in (1, 2, 3, 4):
                 state = states._expand_exponential(pairs, order)
-                want = ref.expand_exponential_ring(pairs, order)
+                want = _in_order_of(state,
+                                    ref.expand_exponential_ring(pairs, order))
                 assert _hexes(state.amplitudes) == _hexes(want)
                 assert _hexes({0: state.inner(state)}) == _hexes(
                     {0: ref.inner_ring(want, want)})
         zero, nan_ = (TAG_MIRROR, 0, 0, 0), (TAG_MIRROR, 1, 1, 0)
         assert math.isnan(state.amplitudes[(zero, nan_)].x)
         assert ((TAG_SYSTEM, 2, 2, 1),) * 4 in state.amplitudes
+
+
+# lattices whose label-string order differs from tuple order: negative
+# indices sort by their text ("-1," < "-10," < "-2,"), two-digit ones
+# included, and the unstaggered lattices hold the index 0
+TWO_DIGIT = CommutationTable(delta_k=0.15, N=10, stagger=True)
+TWO_DIGIT_ZERO = CommutationTable(delta_k=0.15, N=10, stagger=False)
+SMALL = CommutationTable(delta_k=0.2, N=2, stagger=True)
+SMALL_ZERO = CommutationTable(delta_k=0.3, N=2, stagger=False)
+CROSS = CommutationTable(delta_k=0.2, N=5, stagger=True)
+
+WALK_CASES = {
+    "evolve_two_digit": (TWO_DIGIT, lambda order, table: evolve_vacuum(
+        0.37, order, P_REF, GEOM, table)),
+    "evolve_index_zero": (TWO_DIGIT_ZERO, lambda order, table: evolve_vacuum(
+        -0.3, order, P_REF, GEOM, table)),
+    "evolve_finite_index_zero": (SMALL_ZERO, lambda order, table: evolve_vacuum(
+        0.4, order, P_REF, FINITE, table)),
+    "evolve_finite": (SMALL, lambda order, table: evolve_vacuum(
+        -2.0, order, P_REF, FINITE, table)),
+    "asymptotic_cross_term": (CROSS, lambda order, table: asymptotic_state_finite(
+        order, P_REF, -1.3, 1.7, table, include_cross_term=True)),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_walk_matches_breadth_first_map_and_dump(monkeypatch, tmp_path, case,
+                                                 order):
+    """The depth-first walk in dump order against the breadth-first map:
+    the CLI's streamed dump, ket count and norm deviation, then the map
+    built from the walk, ket for ket and in dump order."""
+    table, build = WALK_CASES[case]
+    pairs, _, state = _expanded(monkeypatch, lambda: build(order, table))
+    want = ref.expand_exponential_breadth_first(pairs, order)
+    labels = sorted(state.weights)
+    assert sorted(labels, key=lambda p: f"{p[0]}:{p[1]},{p[2]},{p[3]}") != labels
+
+    out = tmp_path / "state.json"
+    dev, kets, _, _ = cli._dump_state(state, table, argparse.Namespace(
+        output=str(out)), cli.DEFAULT_CONFIG, "evolved", case)
+    # by line, so a failure reports the first differing line at once
+    assert out.read_text().splitlines(True) == (json.dumps(
+        want.to_jsonable(), indent=2, sort_keys=True) + "\n").splitlines(True)
+    assert kets == len(want.amplitudes)
+
+    assert list(state.weights.items()) == list(want.weights.items())
+    assert dict(_hexes(state.amplitudes)) == dict(_hexes(want.amplitudes))
+    assert list(state.amplitudes) == [key for _, key, _ in want.kets()]
+    assert dev.hex() == states.norm_deviation(state).hex()
