@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import verification
-from .commutators import delta_commutator, figure_data, sweep_grid
+from .commutators import KERNELS, sweep_grid
 from .errors import HyperfieldError
 from .modes import FieldParams
 from .observables import GeometrySpec
@@ -266,13 +266,6 @@ def cmd_ring_check(args, _cfg: dict) -> int:
     return 0
 
 
-# Bessel-kernel verbs and the figure whose sweep they write; the other
-# verbs are delta-type kernels sampled on the lattice
-_FIGURE_OF = {"omega-pi": "fig1", "w-omega-omega": "fig6", "w-pi-pi": "fig7"}
-_VERBS = ("omega-omega", "omega-pi", "pi-pi",
-          "w-omega-omega", "w-omega-pi", "w-pi-pi")
-
-
 def cmd_commutator(args, cfg: dict) -> int:
     params = _params(cfg)
     table = _table(cfg)
@@ -280,25 +273,23 @@ def cmd_commutator(args, cfg: dict) -> int:
         raise ConfigError("empty sweep: --steps must be >= 1")
     if not (_is_real(args.x_min) and _is_real(args.x_max)):
         raise ConfigError("--x-min and --x-max must be finite numbers")
-    if args.which in _FIGURE_OF:
-        rows = figure_data(_FIGURE_OF[args.which],
-                           (args.x_min, args.x_max, args.steps), params, table)
-    else:
-        which = args.which.removeprefix("w-").replace("-", "_")
-        rows = []
-        for dx in sweep_grid(args.x_min, args.x_max, args.steps):
-            try:
-                val = delta_commutator(which, dx, params, table).plus()
-            except OverflowError as exc:  # float ** raises where * gives inf
-                raise ConfigError("the pi-pi sweep overflows squaring k") from exc
-            rows.append((dx, val.real, val.imag))
+    kernel = KERNELS[args.which]
+    value_at = kernel.bind(params, table)
+    rows = []
+    for dx in sweep_grid(args.x_min, args.x_max, args.steps):
+        try:
+            val = value_at(dx).plus()
+        except OverflowError as exc:  # float ** raises where * gives inf
+            raise ConfigError(
+                f"the {args.which} sweep overflows squaring k") from exc
+        rows.append((dx, val.real, val.imag))
     # a span, M^2 or table entry can overflow though each flag is finite
     if not all(math.isfinite(c) for row in rows for c in row):
         raise ConfigError(f"the {args.which} sweep overflows to non-finite rows")
     if not all(s.is_zero() for s in table.sigma):
         print("warning: commutator kernels are the sigma = 0 forms; the "
               "config's nonzero sigma is ignored", file=sys.stderr)
-    if args.which not in _FIGURE_OF:
+    if kernel.profile is None:  # a delta-type kernel, sampled on the lattice
         _warn_lattice_span(cfg)
     out = args.output or os.path.join(cfg["output_dir"],
                                       f"commutator_{args.which}.csv")
@@ -388,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--seed", type=int, default=7)
 
     cm = sub.add_parser("commutator", help="sweep a field commutator to CSV")
-    cm.add_argument("--which", required=True, choices=_VERBS)
+    cm.add_argument("--which", required=True,
+                    choices=[name for name, k in KERNELS.items() if k.verb])
     cm.add_argument("--m", type=float)
     cm.add_argument("--gamma", type=float)
     cm.add_argument("--x-min", type=float, default=0.1)

@@ -1,37 +1,29 @@
 """Equal-time field commutators: lattice evaluation, closed forms, oracle.
 
-Three commutators arise.  With the difference bracket
-B_diff = J+ (rho1 - conj rho4) + J- (conj rho1 - rho4) and the sum bracket
-B_sum = J+ (rho1 + conj rho4) + J- (conj rho1 + rho4):
+With the difference bracket B_diff = J+ (rho1 - conj rho4) + J- (conj rho1
+- rho4) and the sum bracket B_sum = J+ (rho1 + conj rho4) + J- (conj rho1
++ rho4), in one spatial dimension:
 
-    [Omega, Omega+] = (2 pi)^n B_diff delta(dx)
-    [Pi, Pi+]       = (2 pi)^n B_diff (delta'' - M^2 delta)(dx)
+    [Omega, Omega+] = (2 pi) B_diff delta(dx)
+    [Pi, Pi+]       = (2 pi) B_diff (delta'' - M^2 delta)(dx)
     [Omega, Pi]     = -i B_sum Integral omega_k e^{i k dx} dk
-                    =  2 i B_sum (M/|dx|) K1(M |dx|)        (M^2 > 0, 1d)
+                    =  2 i B_sum (M/|dx|) K1(M |dx|)        (M^2 > 0)
 
-All three follow mechanically from the commutation table, and each kernel
-has one production route: delta_commutator for the delta-type kernels
-(the bracket times the lattice delta profile, sigma ignored), and for each
-Bessel kernel a closed form, checked against the quadrature oracle below.
-
-lattice_commutator, the operator engine, is the delta route's independent
-side in acceptance criterion 3.  It builds Omega and Pi as OperatorPolys
-and contracts them term by term: both are linear in the ladder operators
-and every ladder commutator is a central ring scalar, so [A, B] = sum_pq
-a_p b_q [op_p, op_q] holds exactly, and the table leaves only the pairs on
-the momentum diagonal (rho) and anti-diagonal (sigma).  The table is read
-once per pattern of species, daggers and index relation; the rest of the
-cost is linear in the number of modes.
-
-Weighted variants use the 1/sqrt(omega_k) measure and swap the kernels
-around (K0 for [Omega,Omega+], K1 for [Pi,Pi+], a plain delta for
-[Omega,Pi]).
-
-The unweighted and weighted quadrature oracles share one numpy rule with
-two legs, which must agree on M |dx| in [1, 5] where both are trusted: a
-double-exponential Fourier leg below and a trapezoid leg on the branch cut
-above (QuadratureSpec).  Every kernel is derived for one spatial
-dimension.
+The 1/sqrt(omega_k) measure swaps the kernels around (K0 for [Omega,
+Omega+], K1 for [Pi, Pi+], a delta for [Omega, Pi]); at M^2 < 0, the
+m -> 0 regime, the [Omega, Pi] integral runs above an IR cutoff and gives
+a Bessel Y1.  These seven kernels are the rows of KERNELS, the one table
+every reader dispatches on.  Each closed form is checked against the
+quadrature oracle, a numpy rule whose double-exponential Fourier leg and
+branch-cut trapezoid leg must agree on M |dx| in [1, 5] (QuadratureSpec).
+The delta rows (the bracket times the lattice delta profile, sigma
+ignored) are checked against lattice_commutator, the operator engine: it
+builds Omega and Pi as OperatorPolys, linear in the ladder operators, and
+contracts them term by term, [A, B] = sum_pq a_p b_q [op_p, op_q] with
+every ladder commutator a central ring scalar.  The commutation table
+leaves only the pairs on the momentum diagonal (rho) and anti-diagonal
+(sigma), read once per pattern of species, daggers and index relation;
+the rest is linear in the number of modes.
 """
 
 from __future__ import annotations
@@ -40,7 +32,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import k0 as _scipy_k0, k1 as _scipy_k1, y1 as _scipy_y1
@@ -220,27 +213,6 @@ def lattice_delta_profile(dx: float, table: CommutationTable,
     return table.delta_k * sum(weight(k) * cmath.exp(1j * k * dx) for k in ks)
 
 
-def delta_commutator(which: str, dx: float, params: FieldParams,
-                     table: CommutationTable) -> Bicomplex:
-    """Delta-type commutator at separation dx: bracket times delta profile.
-
-    omega_omega: B_diff (2 pi) delta; pi_pi: B_diff (2 pi) (delta'' - M^2
-    delta), the profile weighted by -k^2 - M^2; omega_pi, weighted by
-    1/sqrt(omega_k): -i B_sum (2 pi) delta.  It ignores sigma; on a
-    sigma-free table it equals lattice_commutator(which, x, x + dx, t, ...)
-    at any x and t.  Squaring an overflowing momentum raises OverflowError.
-    """
-    weight = (lambda k: -k ** 2 - params.m2_mod) if which == "pi_pi" else None
-    if which == "omega_pi":
-        coeff = Bicomplex.from_complex(-1j) * sum_bracket(table)
-    elif which in ("omega_omega", "pi_pi"):
-        coeff = difference_bracket(table)
-    else:
-        raise ValueError(f"unknown delta-type commutator {which!r}")
-    prof = lattice_delta_profile(dx, table, weight)
-    return coeff * Bicomplex.from_complex(prof)
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
@@ -368,95 +340,144 @@ def _cos_transform(power: int, delta_x: float, m2: float) -> float:
     return legs[-1]
 
 
-def commutator_omega_pi_quadrature(delta_x: float, params: FieldParams,
-                                   spec: QuadratureSpec,
-                                   table: CommutationTable) -> Bicomplex:
-    """[Omega, Pi] = -i B_sum Integral omega_k e^{i k dx} dk by quadrature,
-    the oracle for the closed form; raises NonConvergent at dx = 0."""
-    f = _cos_transform(1, delta_x, params.m2_mod)
-    return Bicomplex.from_complex(-1j * f) * sum_bracket(table)
+# ---------------------------------------------------------------------------
+# the kernel table
+# ---------------------------------------------------------------------------
+
+class Kernel(NamedTuple):
+    """One commutator kernel: bracket(table) (B_diff, B_sum or -i B_sum)
+    times a profile in dx.
+
+    A delta row's profile is lattice_delta_profile(dx, table, weight(M^2))
+    (a plain delta when weight is None).  A Bessel row has the closed form
+    profile(sqrt|M^2|, |dx|) where M^2 has the sign `side`, and the oracle
+    bracket * scale * (finite part of Integral omega_k^power e^{ikdx} dk).
+    figures are its dx and M sweeps; verb: a `commutator --which` choice.
+    """
+
+    bracket: Callable[[CommutationTable], Bicomplex]
+    weight: Optional[Callable] = None
+    profile: Optional[Callable[[float, float], complex]] = None
+    power: int = 0
+    scale: complex = 0.0
+    side: int = 1
+    figures: tuple = ()
+    verb: bool = True
+
+    def _m2(self, params: FieldParams) -> float:
+        m2 = params.m2_mod
+        if m2 * self.side <= 0.0:
+            raise DomainError(f"closed form requires M^2 "
+                              f"{'>' if self.side > 0 else '<'} 0, got {m2}")
+        return m2
+
+    def bind(self, params: FieldParams,
+             table: CommutationTable) -> Callable[[float], Bicomplex]:
+        """The kernel at these params and table, as a function of dx."""
+        bracket = self.bracket(table)
+        if self.profile is None:
+            weight = self.weight and self.weight(params.m2_mod)
+            return lambda dx: bracket * Bicomplex.from_complex(
+                lattice_delta_profile(dx, table, weight))
+        r, profile = math.sqrt(abs(self._m2(params))), self.profile
+
+        def value_at(dx: float) -> Bicomplex:
+            if dx == 0.0:
+                raise DomainError("commutator diverges at dx = 0")
+            return bracket * Bicomplex.from_complex(profile(r, abs(dx)))
+        return value_at
+
+    def oracle(self, delta_x: float, params: FieldParams,
+               table: CommutationTable) -> Bicomplex:
+        """The Bessel row's value by the quadrature rule in QuadratureSpec."""
+        f = _cos_transform(self.power, delta_x, self._m2(params))
+        return self.bracket(table) * Bicomplex.from_complex(self.scale * f)
+
+
+# Rows call the brackets, bessel_k, _scipy_y1 and lattice_delta_profile as
+# module globals, looked up per call, so a replaced attribute is the one run.
+# Each profile keeps the float operations of the form it states.
+KERNELS = {
+    # (2 pi) B_diff delta(dx)
+    "omega-omega": Kernel(lambda t: difference_bracket(t)),
+    # [Omega, Pi] = 2 i B_sum (M/|dx|) K1(M |dx|), M^2 > 0
+    "omega-pi": Kernel(
+        lambda t: sum_bracket(t), power=1, scale=-1j, figures=("fig1", "fig2"),
+        profile=lambda r, adx: 2j * ((r / adx) * bessel_k(1, r * adx))),
+    # (2 pi) B_diff (delta'' - M^2 delta)(dx): the modes weighted -k^2 - M^2
+    "pi-pi": Kernel(lambda t: difference_bracket(t),
+                    weight=lambda m2: lambda k: -k ** 2 - m2),
+    # weighted [Omega, Omega+] = 2 B_diff K0(M |dx|)
+    "w-omega-omega": Kernel(
+        lambda t: difference_bracket(t), power=-1, scale=1.0,
+        figures=("fig6", "fig6b"),
+        profile=lambda r, adx: 2.0 * bessel_k(0, r * adx)),
+    # weighted [Omega, Pi] = (2 pi) (-i B_sum) delta(dx)
+    "w-omega-pi": Kernel(
+        lambda t: Bicomplex.from_complex(-1j) * sum_bracket(t)),
+    # weighted [Pi, Pi+] = 2 B_diff (M/|dx|) K1(M |dx|)
+    "w-pi-pi": Kernel(
+        lambda t: difference_bracket(t), power=1, scale=-1.0,
+        figures=("fig7", "fig7b"),
+        profile=lambda r, adx: 2.0 * bessel_k(1, r * adx) * (r / adx)),
+    # [Omega, Pi] for M^2 < 0, the m -> 0 regime: the integral over the
+    # modes above the IR cutoff r is (pi r/|dx|) Y1(r |dx|); not a verb
+    "omega-pi-m0": Kernel(
+        lambda t: sum_bracket(t), power=1, scale=-1j, side=-1, verb=False,
+        profile=lambda r, adx: -1j * ((math.pi * r / adx)
+                                      * float(_scipy_y1(r * adx)))),
+}
+
+
+def _row(which: str, weighted: bool, delta: bool) -> Kernel:
+    """The delta (or Bessel) row of 'omega_omega', 'pi_pi' or 'omega_pi',
+    weighted by 1/sqrt(omega_k) or not; ValueError if there is none."""
+    kernel = KERNELS.get(("w-" if weighted else "") + which.replace("_", "-"))
+    if kernel is None or (kernel.profile is None) != delta:
+        raise ValueError(f"unknown {'delta-type' if delta else 'Bessel'} "
+                         f"commutator {which!r}")
+    return kernel
+
+
+def delta_commutator(which: str, dx: float, params: FieldParams,
+                     table: CommutationTable) -> Bicomplex:
+    """The omega_omega, pi_pi or (weighted) omega_pi delta row at dx.
+
+    It ignores sigma; on a sigma-free table it equals
+    lattice_commutator(which, x, x + dx, t, ...) at any x and t.  Squaring
+    an overflowing momentum raises OverflowError.
+    """
+    return _row(which, which == "omega_pi", True).bind(params, table)(dx)
 
 
 def commutator_omega_pi_closed(delta_x: float, params: FieldParams,
                                table: CommutationTable) -> Bicomplex:
-    """Closed form of [Omega, Pi] in 1+1 dimensions, M^2 > 0.
-
-    Oracle-validated form: 2 i B_sum (M / |dx|) K1(M |dx|).
-    """
-    m2 = params.m2_mod
-    if m2 <= 0.0:
-        raise DomainError(f"closed form requires M^2 > 0, got {m2}")
-    if delta_x == 0.0:
-        raise DomainError("commutator diverges at dx = 0")
-    mmod = math.sqrt(m2)
-    profile = (mmod / abs(delta_x)) * bessel_k(1, mmod * abs(delta_x))
-    return Bicomplex.from_complex(2j * profile) * sum_bracket(table)
+    """The omega-pi row: 2 i B_sum (M/|dx|) K1(M |dx|), M^2 > 0."""
+    return KERNELS["omega-pi"].bind(params, table)(delta_x)
 
 
-def commutator_omega_pi_m0_limit(delta_x: float, gamma: float,
-                                 table: CommutationTable) -> Bicomplex:
-    """m -> 0 limit of [Omega, Pi] (M^2 = -gamma^2/4, IR-cutoff integral).
-
-    The cutoff integral evaluates to an oscillatory Bessel-Y form,
-    Integral = (pi gamma / 2 |dx|) Y1(gamma |dx| / 2), so the commutator is
-    -i B_sum times that.
-    """
-    if delta_x == 0.0:
-        raise DomainError("commutator diverges at dx = 0")
-    if gamma <= 0.0:
-        raise DomainError("m -> 0 limit requires gamma > 0")
-    adx = abs(delta_x)
-    f0 = (math.pi * gamma / (2.0 * adx)) * float(_scipy_y1(gamma * adx / 2.0))
-    return Bicomplex.from_complex(-1j * f0) * sum_bracket(table)
-
-
-# ---------------------------------------------------------------------------
-# weighted measure variants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CommutatorResult:
-    """A smooth commutator kernel, evaluated pointwise by value_at(dx)."""
-
-    value_at: Callable[[float], Bicomplex]
+def commutator_omega_pi_quadrature(delta_x: float, params: FieldParams,
+                                   spec: QuadratureSpec,
+                                   table: CommutationTable) -> Bicomplex:
+    """Oracle of [Omega, Pi] on either side of M^2 (the omega-pi and
+    omega-pi-m0 rows); raises NonConvergent at dx = 0."""
+    row = "omega-pi" if params.m2_mod > 0.0 else "omega-pi-m0"
+    return KERNELS[row].oracle(delta_x, params, table)
 
 
 def weighted_commutators(which: str, delta_x: float, params: FieldParams,
-                         table: CommutationTable) -> CommutatorResult:
-    """Commutators with the 1/sqrt(omega_k) integration weight.
-
-    omega_omega -> 2 B_diff K0(M |dx|); pi_pi -> 2 B_diff (M/|dx|) K1(M |dx|),
-    the unweighted kernels interchanged (the weighted [Omega, Pi] is the
-    delta of delta_commutator).  delta_x is unused, as value_at takes the
-    separation; perfbench/workloads.py's four-argument call binds to it.
-    """
-    m2 = params.m2_mod
-    if m2 <= 0.0:
-        raise DomainError(f"weighted kernels require M^2 > 0, got {m2}")
-    order = {"omega_omega": 0, "pi_pi": 1}.get(which)
-    if order is None:
-        raise ValueError(f"unknown weighted commutator {which!r}")
-    mmod = math.sqrt(m2)
-    bdiff = difference_bracket(table)
-
-    def value_at(dx: float) -> Bicomplex:
-        if dx == 0.0:
-            raise DomainError(f"K{order} kernel diverges at dx = 0")
-        prof = 2.0 * bessel_k(order, mmod * abs(dx)) * (mmod / abs(dx)) ** order
-        return bdiff * Bicomplex.from_complex(prof)
-    return CommutatorResult(value_at)
+                         table: CommutationTable) -> SimpleNamespace:
+    """value_at(dx) of the w-omega-omega (2 B_diff K0(M |dx|)) or w-pi-pi
+    (2 B_diff (M/|dx|) K1(M |dx|)) row; delta_x is unused."""
+    kernel = _row(which, True, False)
+    return SimpleNamespace(value_at=kernel.bind(params, table))
 
 
 def weighted_quadrature(which: str, delta_x: float, params: FieldParams,
                         spec: QuadratureSpec,
                         table: CommutationTable) -> Bicomplex:
-    """Oracle for the weighted kernels by the rule in QuadratureSpec."""
-    m2 = params.m2_mod
-    if m2 <= 0.0:
-        raise DomainError("weighted oracle requires M^2 > 0")
-    power = {"omega_omega": -1, "pi_pi": 1}[which]
-    integral = _cos_transform(power, delta_x, m2)
-    return difference_bracket(table) * Bicomplex.from_complex(-power * integral)
+    """Oracle of the w-omega-omega or w-pi-pi row."""
+    return _row(which, True, False).oracle(delta_x, params, table)
 
 
 # ---------------------------------------------------------------------------
@@ -470,38 +491,28 @@ def sweep_grid(lo: float, hi: float, steps: int) -> list[float]:
 
 def figure_data(figure: str, grid, params: FieldParams,
                 table: CommutationTable) -> list[tuple[float, float, float]]:
-    """CSV-ready sweep (abscissa, re, im) for the commutator profiles.
+    """CSV-ready sweep (abscissa, re, im) of a Bessel row's closed form.
 
-    fig1: [Omega, Pi] closed form vs dx.     fig2: same vs M at fixed dx.
-    fig6/fig6b: weighted [Omega, Omega+] vs dx / vs M.
-    fig7/fig7b: weighted [Pi, Pi+] vs dx / vs M.
-    grid is (lo, hi, steps) plus an optional fixed dx as 4th entry for the
-    M sweeps (default 1.0).  Reported re/im are the plus-sector components.
+    fig1, fig6 and fig7 (omega-pi, w-omega-omega, w-pi-pi) sweep dx; fig2,
+    fig6b and fig7b sweep M at a fixed dx, grid's optional 4th entry
+    (default 1.0) after (lo, hi, steps).  re/im are the plus sector.
     """
     lo, hi, steps = grid[0], grid[1], int(grid[2])
     fixed_dx = grid[3] if len(grid) > 3 else 1.0
     if steps < 1:
         raise DomainError("empty sweep")
-    base = {"fig2": "fig1", "fig6b": "fig6", "fig7b": "fig7"}.get(figure, figure)
-    if base not in ("fig1", "fig6", "fig7"):
+    kernel = next((k for k in KERNELS.values() if figure in k.figures), None)
+    if kernel is None:
         raise ValueError(f"unknown figure {figure!r}")
-
-    def kernel(dx: float, p: FieldParams) -> Bicomplex:
-        if base == "fig1":
-            return commutator_omega_pi_closed(dx, p, table)
-        which = "omega_omega" if base == "fig6" else "pi_pi"
-        return weighted_commutators(which, dx, p, table).value_at(dx)
-
-    rows = []
-    for x in sweep_grid(lo, hi, steps):
-        if figure == base:
-            if x == 0.0:
-                raise DomainError("sweep grid must avoid dx = 0")
-            val = kernel(x, params).plus()
-        else:
-            if x <= 0.0:
-                raise DomainError("M sweep requires M > 0")
+    xs = sweep_grid(lo, hi, steps)
+    if figure == kernel.figures[0]:
+        value_at = kernel.bind(params, table)
+    elif min(xs) <= 0.0:
+        raise DomainError("M sweep requires M > 0")
+    else:
+        def value_at(x: float) -> Bicomplex:  # the kernel at M = x
             m = math.sqrt(x * x + params.gamma ** 2 / 4.0)
-            val = kernel(fixed_dx, FieldParams(m=m, gamma=params.gamma)).plus()
-        rows.append((x, val.real, val.imag))
-    return rows
+            p = FieldParams(m=m, gamma=params.gamma)
+            return kernel.bind(p, table)(fixed_dx)
+    vals = [value_at(x).plus() for x in xs]
+    return [(x, val.real, val.imag) for x, val in zip(xs, vals)]

@@ -193,12 +193,6 @@ def noether_residual(modes: list[ModeSolution], params: FieldParams,
     return dt_j0 - dx_flux
 
 
-def vev_H(params: FieldParams, geom: GeometrySpec, table: CommutationTable,
-          rules: VacuumRules, t: float = 0.0) -> Bicomplex:
-    """Vacuum expectation of the Hamiltonian; exactly zero when constrained."""
-    return vev(hamiltonian_poly(params, geom, table, t), rules, table)
-
-
 def vev_Q(params: FieldParams, table: CommutationTable,
           rules: VacuumRules) -> Bicomplex:
     """Vacuum expectation of the charge; exactly zero when constrained."""

@@ -187,9 +187,3 @@ def idempotents_exact():
     half = Fraction(1, 2)
     return (Bicomplex(half, 0, half, 0), Bicomplex(half, 0, -half, 0))
 
-
-def exp_bicomplex(alpha: float, beta: float) -> Bicomplex:
-    """Bicomplex phase e^{i alpha + j beta}."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cosh(beta), math.sinh(beta)
-    return Bicomplex(ca * cb, sa * cb, ca * sb, sa * sb)

@@ -223,50 +223,45 @@ def criterion_3_commutator_invariance(table: CommutationTable | None = None) -> 
 
 def criterion_4_bessel_oracle() -> dict:
     table = generic_table()
-    p = FieldParams(m=1.0, gamma=0.0)
-    spec = fc.QuadratureSpec()
+    lo, hi = fc.Z_TRUSTED[0] * 1.001, fc.Z_TRUSTED[1] / 1.001
+    zs = [lo * (hi / lo) ** (n / 19.0) for n in range(20)]
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(20):
-        dx = 0.5 + 4.5 * n / 19.0
-        closed = fc.commutator_omega_pi_closed(dx, p, table)
-        quad = fc.commutator_omega_pi_quadrature(dx, p, spec, table)
-        worst = max(worst, (closed - quad).norm() / closed.norm())
-    worst_w = 0.0
-    for which in ("omega_omega", "pi_pi"):
-        for n in range(20):
-            dx = 0.5 + 4.5 * n / 19.0
-            closed = fc.weighted_commutators(which, dx, p, table).value_at(dx)
-            quad = fc.weighted_quadrature(which, dx, p, spec, table)
-            worst_w = max(worst_w, (closed - quad).norm() / closed.norm())
+    checks = []
+    for name, kernel in fc.KERNELS.items():
+        if kernel.profile is None:
+            continue
+        # K rows at M = 3 with gamma > 0; the Y1 row at m = 0, M = i gamma/2
+        worst = 0.0
+        for p in ([FieldParams(m=3.25, gamma=2.5)] if kernel.side > 0 else
+                  [FieldParams(m=0.0, gamma=g) for g in (0.5, 2.0)]):
+            value_at, r = kernel.bind(p, table), math.sqrt(abs(p.m2_mod))
+            for z in zs:
+                closed = value_at(z / r)
+                quad = kernel.oracle(z / r, p, table)
+                worst = max(worst, (closed - quad).norm() / closed.norm())
+        checks.append((f"{name} worst relative error", worst, 1e-11, "<="))
     return _report(4, "Bessel closed forms match the quadrature oracle",
-                   "<= 1e-6 relative on 20-point grid M dx in [0.5, 5]; < 60 s",
-                   [("unweighted worst relative error", worst, 1e-6, "<="),
-                    ("weighted worst relative error", worst_w, 1e-6, "<="),
-                    ("seconds", time.perf_counter() - t0, 60.0, "<")])
+                   "<= 1e-11 relative for every Bessel row at 20 log-spaced "
+                   "sqrt(|M^2|) |dx| across [0.01, 30]: K rows at M = 3, "
+                   "the Y1 row at m = 0, gamma in {0.5, 2}; < 60 s",
+                   checks + [("seconds", time.perf_counter() - t0, 60.0, "<")])
 
 
 # -- 5: limits ----------------------------------------------------------------
 
 def criterion_5_limits() -> dict:
     table = generic_table()
-
+    rows = [k for k in fc.KERNELS.values() if k.profile and k.side > 0]
     # large-separation tails at M dx = 30
-    p = FieldParams(m=1.0, gamma=0.0)
-    tail = fc.commutator_omega_pi_closed(30.0, p, table).norm()
-    tail_w0 = fc.weighted_commutators("omega_omega", 30.0, p, table).value_at(30.0).norm()
-    tail_w1 = fc.weighted_commutators("pi_pi", 30.0, p, table).value_at(30.0).norm()
-
-    # monotone decay of the closed form beyond M dx = 5 (mass increasing, dx fixed)
-    decay = [fc.commutator_omega_pi_closed(1.0, FieldParams(m=float(mm)),
-                                           table).norm() for mm in range(5, 16)]
+    tail = max(k.bind(FieldParams(m=1.0), table)(30.0).norm() for k in rows)
+    # monotone decay beyond M dx = 5 (mass increasing, dx fixed)
+    rises = sum(_rises([k.bind(FieldParams(m=float(mm)), table)(1.0).norm()
+                        for mm in range(5, 16)]) for k in rows)
     return _report(5, "asymptotic limits of the commutators",
                    "tails < 1e-8 at M dx = 30; monotone decay beyond "
                    "M dx = 5",
-                   [("largest tail at M dx = 30", max(tail, tail_w0, tail_w1),
-                     1e-8, "<"),
-                    ("non-decreasing steps over M = 5..15", _rises(decay), 0,
-                     "==")])
+                   [("largest tail at M dx = 30", tail, 1e-8, "<"),
+                    ("non-decreasing steps over M = 5..15", rises, 0, "==")])
 
 
 # -- 6: factor-5 provenance ---------------------------------------------------

@@ -18,8 +18,7 @@ order; the Schmidt spectrum from the
 ket-by-ket matrix, which the package reads off the label weights; the
 ring property suite in Fraction arithmetic, which the package runs on
 integers, and a broken product that fails it.  Last, the ring element
-built from its two idempotent sectors and the ring exponential through
-them, the oracle for ring.exp_bicomplex, and the ring element as the frozen
+built from its two idempotent sectors, and the ring element as the frozen
 dataclass that the package's immutable tuple replaced.  And the lattice
 contraction that calls the commutator on every ladder pair, over
 operands whose terms are built as ring products.  The package
@@ -296,11 +295,6 @@ def from_sectors(plus, minus) -> Bicomplex:
         (plus.real - minus.real) / 2.0,
         (plus.imag - minus.imag) / 2.0,
     )
-
-
-def exp_ring(a: Bicomplex) -> Bicomplex:
-    """Exponential of a general ring element via the idempotent split."""
-    return from_sectors(cmath.exp(a.plus()), cmath.exp(a.minus()))
 
 
 def anticommutator(op1: ModeOp, op2: ModeOp) -> OperatorPoly:

@@ -191,6 +191,11 @@ def _scaled_k1(monkeypatch):
     monkeypatch.setattr(fc, "_scipy_k1", lambda z: k1(z) * (1.0 + 1e-5))
 
 
+def _scaled_y1(monkeypatch):
+    y1 = fc._scipy_y1
+    monkeypatch.setattr(fc, "_scipy_y1", lambda z: y1(z) * (1.0 + 1e-9))
+
+
 def _sum_for_difference_bracket(monkeypatch):
     monkeypatch.setattr(fc, "difference_bracket", fc.sum_bracket)
 
@@ -219,12 +224,13 @@ def _swapped_project_view(monkeypatch):
 
 
 def _closed_form_doubled_beyond_10(monkeypatch):
-    closed = fc.commutator_omega_pi_closed
+    row = fc.KERNELS["omega-pi"]
+    profile = row.profile
 
-    def seeded(delta_x, params, table):
-        value = closed(delta_x, params, table)
-        return 2.0 * value if abs(delta_x) > 10.0 else value
-    monkeypatch.setattr(fc, "commutator_omega_pi_closed", seeded)
+    def seeded(r, adx):
+        value = profile(r, adx)
+        return 2.0 * value if adx > 10.0 else value
+    monkeypatch.setitem(fc.KERNELS, "omega-pi", row._replace(profile=seeded))
 
 
 def _rank_without_left_labels(monkeypatch):
@@ -241,8 +247,9 @@ def _rank_counting_zero_values(monkeypatch):
 @pytest.mark.parametrize("seed_defect, cid, failing", [
     (_rank_without_left_labels, 9, {"rank(gamma=0.5)", "rank(gamma=0)"}),
     (_rank_counting_zero_values, 9, {"rank(t=0)"}),
-    (_scaled_k1, 4, {"unweighted worst relative error",
-                     "weighted worst relative error"}),
+    (_scaled_k1, 4, {"omega-pi worst relative error",
+                     "w-pi-pi worst relative error"}),
+    (_scaled_y1, 4, {"omega-pi-m0 worst relative error"}),
     (_sum_for_difference_bracket, 3, {"omega_omega delta route vs engine",
                                       "pi_pi delta route vs engine"}),
     (_tripled_difference_bracket, 3, {"omega_omega delta route vs engine",
@@ -252,7 +259,7 @@ def _rank_counting_zero_values(monkeypatch):
                                  "minus-view kets with other tags"}),
     (_closed_form_doubled_beyond_10, 12, {"fig1 non-decreasing steps"})],
     ids=["rank_without_left_labels", "rank_counting_zero_values",
-         "k1_scaled_1e-5", "sum_for_difference_bracket",
+         "k1_scaled_1e-5", "y1_scaled_1e-9", "sum_for_difference_bracket",
          "tripled_difference_bracket", "plus_m2_in_pi_pi_weight",
          "swapped_views", "closed_form_doubled_beyond_dx_10"])
 def test_seeded_defect_fails_only_its_criterion(monkeypatch, seed_defect,

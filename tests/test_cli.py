@@ -15,6 +15,7 @@ import hyperfield
 from hyperfield import cli
 from hyperfield import verification as vf
 from hyperfield.cli import main
+from hyperfield.commutators import KERNELS
 from hyperfield.ring import Bicomplex
 from hyperfield.states import StateVector
 
@@ -111,6 +112,13 @@ class TestCommutatorSweep:
             "config's nonzero sigma is ignored", *plain.stderr.splitlines()]
         assert ((tmp_path / "sigma.csv").read_bytes()
                 == (tmp_path / "plain.csv").read_bytes())
+
+    def test_which_offers_the_six_verb_rows(self, tmp_path):
+        assert [name for name, k in KERNELS.items() if k.verb] == [
+            "omega-omega", "omega-pi", "pi-pi",
+            "w-omega-omega", "w-omega-pi", "w-pi-pi"]
+        r = run_cli(["commutator", "--which", "omega-pi-m0"], tmp_path)
+        assert r.returncode == 2 and "invalid choice" in r.stderr
 
     def test_delta_kernel_profiles(self, tmp_path):
         r = run_cli(["commutator", "--which", "omega-omega", "--x-min", "0.1",
@@ -332,6 +340,14 @@ class TestConfig:
         [{"m": 0.1, "gamma": 1.0}, "asymptotic", "--geometry", "infinite"],
         ["evolve", "--t", "1", "--order", "5", "--geometry", "finite",
          "--L1", "-1", "--L2", "1"],
+        # every Bessel verb refuses dx = 0, M^2 < 0 and the boundary M^2 = 0
+        *[["commutator", "--which", verb, *sweep]
+          for verb in ("w-omega-omega", "w-pi-pi")
+          for sweep in (["--x-min", "0", "--x-max", "1", "--steps", "3"],
+                        ["--m", "0.1", "--gamma", "1", "--steps", "2"],
+                        ["--m", "0.5", "--gamma", "1", "--steps", "2"])],
+        ["commutator", "--which", "omega-pi", "--m", "0.5", "--gamma", "1",
+         "--steps", "2"],
     ], ids=["m_negative", "m_nan", "gamma_inf", "evolve_L1_above_L2",
             "asymptotic_L1_above_L2", "t_values_not_numbers", "t_nan",
             "order_negative", "sweep_through_dx_0", "m2_not_positive",
@@ -346,7 +362,10 @@ class TestConfig:
             "sweep_rho_overflows", "sweep_rho_overflows_with_sigma",
             "sweep_momenta_square_overflows",
             "pole_at_zero_momentum", "evolve_imaginary_frequency",
-            "asymptotic_imaginary_frequency", "truncation_cap"])
+            "asymptotic_imaginary_frequency", "truncation_cap",
+            *[f"{verb}_{case}" for verb in ("w_omega_omega", "w_pi_pi")
+              for case in ("sweep_through_dx_0", "m2_negative", "m2_zero")],
+            "omega_pi_m2_zero"])
     def test_malformed_flag_is_usage_error(self, tmp_path, tmp_path_factory,
                                            args):
         if isinstance(args[0], dict):

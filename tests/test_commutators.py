@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperfield.commutators import (QuadratureSpec, _contraction_terms,
-                                    bessel_k, commutator_omega_pi_closed,
-                                    commutator_omega_pi_m0_limit,
+from hyperfield.commutators import (KERNELS, QuadratureSpec,
+                                    _contraction_terms, bessel_k,
+                                    commutator_omega_pi_closed,
                                     commutator_omega_pi_quadrature,
                                     delta_commutator, difference_bracket,
                                     field_operator_poly, figure_data,
@@ -69,6 +69,12 @@ class TestBesselK:
             bessel_k(2, 1.0)
 
 
+def m0_form(dx, gamma, table):
+    """The omega-pi-m0 row, [Omega, Pi] at m = 0 (M^2 = -gamma^2/4)."""
+    return KERNELS["omega-pi-m0"].bind(FieldParams(m=0.0, gamma=gamma),
+                                       table)(dx)
+
+
 def profile(dx, table, weight=None):
     return Bicomplex.from_complex(lattice_delta_profile(dx, table, weight))
 
@@ -123,11 +129,15 @@ class TestDeltaRoute:
         assert got.is_close(want, 1e-14)
 
     def test_unknown_kernel_raises(self, rho_table):
+        p, spec = FieldParams(m=1.0), QuadratureSpec()
         with pytest.raises(ValueError):
-            delta_commutator("omega_omega_plus", 0.7, FieldParams(m=1.0),
-                             rho_table)
+            delta_commutator("omega_omega_plus", 0.7, p, rho_table)
+        with pytest.raises(ValueError):   # a Bessel row is not delta-type
+            delta_commutator("w_pi_pi", 0.7, p, rho_table)
         with pytest.raises(ValueError):
-            weighted_commutators("omega_pi", 0.7, FieldParams(m=1.0), rho_table)
+            weighted_commutators("omega_pi", 0.7, p, rho_table)
+        with pytest.raises(ValueError):
+            weighted_quadrature("omega_pi", 0.7, p, spec, rho_table)
 
     @settings(derandomize=True, database=None, max_examples=100,
               deadline=None)
@@ -347,7 +357,7 @@ class TestQuadratureOracle:
         for dx in (1.0, 2.5):
             quad = commutator_omega_pi_quadrature(dx, FieldParams(m=0.0, gamma=2.0),
                                                   spec, t)
-            closed = commutator_omega_pi_m0_limit(dx, 2.0, t)
+            closed = m0_form(dx, 2.0, t)
             assert (closed - quad).norm() <= 1e-4 * max(closed.norm(), 1e-12)
 
     def test_closed_form_value(self):
@@ -443,25 +453,38 @@ class TestWideRangeOracle:
                 dx = z / (gamma / 2.0)
                 quad = commutator_omega_pi_quadrature(
                     dx, FieldParams(m=0.0, gamma=gamma), spec, t)
-                closed = commutator_omega_pi_m0_limit(dx, gamma, t)
+                closed = m0_form(dx, gamma, t)
                 assert (closed - quad).norm() <= 1e-9 * closed.norm()
 
 
 class TestM0Limit:
     def test_decay_at_large_separation(self):
         t = generic_table()
-        vals = [commutator_omega_pi_m0_limit(dx, 2.0, t).norm()
+        vals = [m0_form(dx, 2.0, t).norm()
                 for dx in (50.0, 200.0)]
         assert vals[1] < vals[0] < 0.05
 
     def test_domain_error_at_zero(self):
         with pytest.raises(DomainError):
-            commutator_omega_pi_m0_limit(0.0, 2.0, generic_table())
+            m0_form(0.0, 2.0, generic_table())
+
+    def test_each_bessel_row_refuses_the_other_side_of_m2(self):
+        t = generic_table()
+        for name, kernel in KERNELS.items():
+            if kernel.profile is None:
+                continue
+            wrong = (FieldParams(m=0.0, gamma=2.0) if kernel.side > 0
+                     else FieldParams(m=1.0))
+            for params in (wrong, FieldParams(m=1.0, gamma=2.0)):  # M^2 = 0
+                with pytest.raises(DomainError, match="requires M\\^2"):
+                    kernel.bind(params, t)
+                with pytest.raises(DomainError):
+                    kernel.oracle(1.0, params, t)
 
     def test_small_gamma_large_value(self):
         # M^2 -> 0: the profile approaches the 1/dx^2 envelope and grows
         t = generic_table()
-        small = commutator_omega_pi_m0_limit(1.0, 0.05, t).norm()
+        small = m0_form(1.0, 0.05, t).norm()
         assert small == pytest.approx(2.0, rel=0.05)  # 2/dx^2 envelope at dx=1
 
 

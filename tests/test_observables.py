@@ -7,8 +7,7 @@ from hyperfield import observables
 from hyperfield.modes import FieldParams, make_mode, omega
 from hyperfield.observables import (GeometrySpec, charge_density_classical,
                                     charge_poly, geometry_kernel, h_gamma,
-                                    hamiltonian_poly, noether_residual, vev_H,
-                                    vev_Q)
+                                    hamiltonian_poly, noether_residual, vev_Q)
 from hyperfield.operators import (CommutationTable, VacuumRules, normal_order,
                                   vev)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
@@ -226,16 +225,17 @@ class TestVevObservables:
         p = FieldParams(m=1.0, gamma=0.5)
         geom = GeometrySpec("infinite_line")
         rules = VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j)
-        scale = vev_H(p, geom, table,
-                      VacuumRules.generic(1.0, 1.0)).norm()
-        assert vev_H(p, geom, table, rules).norm() <= 1e-12 * scale
+        h = hamiltonian_poly(p, geom, table)
+        scale = vev(h, VacuumRules.generic(1.0, 1.0), table).norm()
+        assert vev(h, rules, table).norm() <= 1e-12 * scale
         assert vev_Q(p, table, rules).norm() <= 1e-12 * scale
 
     def test_unconstrained_hand_formula(self, table):
         # lambda1 = 1, lambda2 = 0: integrand (H_k' + ij gamma w) per mode
         p = FieldParams(m=1.0, gamma=0.5)
         geom = GeometrySpec("infinite_line")
-        got = vev_H(p, geom, table, VacuumRules.generic(1.0, 0.0))
+        got = vev(hamiltonian_poly(p, geom, table),
+                  VacuumRules.generic(1.0, 0.0), table)
         expect = Bicomplex.zero()
         for i in table.momentum_indices():
             k = table.momentum(i)
@@ -250,8 +250,9 @@ class TestVevObservables:
         geom = GeometrySpec("infinite_line")
         rules = VacuumRules.constrained_rules(c1=2.7 + 0.4j)
         assert rules.lambda1.plus() == 0
-        scale = vev_H(p, geom, table, VacuumRules.generic(1.0, 1.0)).norm()
-        assert vev_H(p, geom, table, rules).norm() <= 1e-12 * scale
+        h = hamiltonian_poly(p, geom, table)
+        scale = vev(h, VacuumRules.generic(1.0, 1.0), table).norm()
+        assert vev(h, rules, table).norm() <= 1e-12 * scale
 
     def test_term_by_term_cancellation(self, table):
         # every single-momentum integrand (pair plus its conjugate) has a
@@ -271,5 +272,7 @@ class TestVevObservables:
         p = FieldParams(m=1.0, gamma=0.5)
         geom = GeometrySpec("finite_interval", -1.0, 1.0)
         rules = VacuumRules.constrained_rules(0.3, 0.9j)
-        scale = max(vev_H(p, geom, table, VacuumRules.generic(1.0, 1.0)).norm(), 1.0)
-        assert vev_H(p, geom, table, rules, t=0.7).norm() <= 1e-12 * scale
+        scale = max(vev(hamiltonian_poly(p, geom, table),
+                        VacuumRules.generic(1.0, 1.0), table).norm(), 1.0)
+        h = hamiltonian_poly(p, geom, table, 0.7)
+        assert vev(h, rules, table).norm() <= 1e-12 * scale

@@ -12,8 +12,7 @@ import algebra_reference as ref
 from hyperfield import cli
 from hyperfield import verification as vf
 from hyperfield.ring import (Bicomplex, I_UNIT, IJ_UNIT, J_MINUS, J_PLUS,
-                             J_UNIT, exp_bicomplex, idempotents_exact,
-                             in_sector)
+                             J_UNIT, idempotents_exact, in_sector)
 
 
 def rand_elem(rng):
@@ -92,7 +91,9 @@ class TestModulus:
         for _ in range(100):
             a = rand_elem(rng)
             theta, chi = rng.uniform(-3, 3), rng.uniform(-1, 1)
-            phase = exp_bicomplex(theta, 0.0) * exp_bicomplex(0.0, chi)
+            # e^{i theta} e^{j chi}
+            phase = (Bicomplex(math.cos(theta), math.sin(theta))
+                     * Bicomplex(math.cosh(chi), 0.0, math.sinh(chi)))
             rotated = (a * phase).modulus()
             assert rotated.is_close(a.modulus(), 1e-12 * max(1.0, a.modulus().norm()))
 
@@ -249,54 +250,6 @@ class TestIdempotentDecomposition:
             pp, pm = (a * b).plus(), (a * b).minus()
             assert abs(pp - pa * pb) < 1e-12
             assert abs(pm - ma * mb) < 1e-12
-
-
-class TestExponentials:
-    def test_identity_and_elliptic(self):
-        assert exp_bicomplex(0.0, 0.0).is_close(Bicomplex.one())
-        assert exp_bicomplex(math.pi / 2, 0.0).is_close(I_UNIT, 1e-15)
-
-    def test_hyperbolic_form(self):
-        chi = 0.8
-        expected = Bicomplex(math.cosh(chi), 0, math.sinh(chi), 0)
-        assert exp_bicomplex(0.0, chi).is_close(expected, 1e-14)
-
-    def test_split_at_log2(self):
-        got = exp_bicomplex(0.0, math.log(2.0))
-        assert got.is_close(Bicomplex(1.25, 0.0, 0.75, 0.0), 1e-14)
-
-    def test_split_matches_series(self):
-        # truncated series sum_n (j chi)^n / n!
-        for chi in (-5.0, -1.3, 0.0, 0.4, 2.2, 5.0):
-            term = Bicomplex.one()
-            total = Bicomplex.one()
-            jchi = chi * J_UNIT
-            for n in range(1, 60):
-                term = term * jchi * (1.0 / n)
-                total = total + term
-            assert exp_bicomplex(0.0, chi).is_close(total, 1e-12 * total.norm())
-
-    def test_phase_inverse(self):
-        rng = random.Random(19)
-        for _ in range(50):
-            a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            prod = exp_bicomplex(a, b) * exp_bicomplex(-a, -b)
-            assert prod.is_close(Bicomplex.one(), 1e-12 * math.cosh(b) ** 2)
-
-    def test_additivity(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            a1, b1, a2, b2 = (rng.uniform(-2, 2) for _ in range(4))
-            left = exp_bicomplex(a1 + a2, b1 + b2)
-            right = exp_bicomplex(a1, b1) * exp_bicomplex(a2, b2)
-            assert left.is_close(right, 1e-12 * max(1.0, left.norm()))
-
-    def test_exp_ring_matches_phase_form(self):
-        rng = random.Random(29)
-        for _ in range(50):
-            a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            elem = a * I_UNIT + b * J_UNIT
-            assert ref.exp_ring(elem).is_close(exp_bicomplex(a, b), 1e-12)
 
 
 FINITE = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
