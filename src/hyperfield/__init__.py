@@ -14,9 +14,8 @@ from .commutators import (QuadratureSpec, bessel_k, commutator_omega_pi_closed,
                           difference_bracket, figure_data, lattice_commutator,
                           sum_bracket, weighted_commutators,
                           weighted_quadrature)
-from .observables import (GeometrySpec, charge_density_classical, charge_poly,
-                          geometry_kernel, h_gamma, hamiltonian_poly,
-                          noether_residual, vev_Q)
+from .observables import (GeometrySpec, charge_poly, geometry_kernel, h_gamma,
+                          hamiltonian_poly, noether_residual, vev_Q)
 from .states import (StateVector, asymptotic_state_finite,
                      asymptotic_state_infinite, eta_k, evolve_vacuum,
                      norm_preservation, project_view, schmidt_rank,

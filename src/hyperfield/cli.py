@@ -225,8 +225,8 @@ def _dump_state(state, table, args, cfg: dict, name: str, what: str):
     rank).
 
     One walk over state.kets() makes the dump's chunks, held until the
-    checks pass, and sums the norm deviation in that order, the order of
-    the map norm_deviation(state) would read; no ket map or row is kept.
+    checks pass, and sums the norm deviation in that order, the order
+    norm_preservation sums it in; no ket map or row is kept.
     The state is refused, before anything is written, when the deviation
     is not finite: an amplitude or the norm has overflowed, and the rank's
     SVD cannot take it.  The rank splits each ket at the lattice's first

@@ -1,10 +1,13 @@
-"""Hamiltonian and charge observables, geometry kernel, conservation check.
+"""Hamiltonian and charge observables, geometry kernel, Noether residual.
 
 The Hamiltonian couples the two sectors through projected anticommutator
 pairs weighted by h_gamma(k, k') and a geometry factor; on the infinite
 line the geometry kernel is a lattice Dirac delta and the double momentum
 sum becomes diagonal.  The charge operator is anti-Hermitian and
 its vacuum expectation cancels exactly under the constrained vacuum rules.
+noether_residual is the classical current-conservation check, and its j0
+is the package's one route to the charge density; no criterion reads it
+yet.
 """
 
 from __future__ import annotations
@@ -153,20 +156,6 @@ def _site_ops(table: CommutationTable) -> dict:
     return {i: tuple(ModeOp(s, i, dagger) for dagger in (False, True)
                      for s in ("a1", "b1", "a2", "b2"))
             for i in table.momentum_indices()}
-
-
-def charge_density_classical(phi1: float, phi2: float, psi1: float, psi2: float,
-                             dphi1: float, dphi2: float, dpsi1: float,
-                             dpsi2: float) -> Bicomplex:
-    """Charge density in the four real field components (d* = time derivative).
-
-    i (dphi2 phi1 - dphi1 phi2 + dpsi1 psi2 - dpsi2 psi1)
-    + j (dpsi1 phi1 + dpsi2 phi2 - dphi1 psi1 - dphi2 psi2);
-    with psi = 0 the usual U(1) charge density survives.
-    """
-    i_part = dphi2 * phi1 - dphi1 * phi2 + dpsi1 * psi2 - dpsi2 * psi1
-    j_part = dpsi1 * phi1 + dpsi2 * phi2 - dphi1 * psi1 - dphi2 * psi2
-    return Bicomplex(0.0, i_part, j_part, 0.0)
 
 
 def noether_residual(modes: list[ModeSolution], params: FieldParams,

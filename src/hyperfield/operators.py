@@ -138,14 +138,6 @@ class OperatorPoly:
     def zero() -> "OperatorPoly":
         return OperatorPoly({})
 
-    @staticmethod
-    def identity(coeff: Bicomplex = Bicomplex.one()) -> "OperatorPoly":
-        return OperatorPoly({(): coeff})
-
-    @staticmethod
-    def from_word(ops, coeff: Bicomplex = Bicomplex.one()) -> "OperatorPoly":
-        return OperatorPoly({tuple(ops): coeff})
-
     # -- algebra -----------------------------------------------------------
 
     def _merged(self, word, coeff, into):
@@ -205,29 +197,14 @@ class OperatorPoly:
         return f"OperatorPoly({' + '.join(bits)}{more})"
 
 
-def pair_poly(species_pair, k_index: int, kp_index: int, coeff,
-              dagger: bool = False) -> OperatorPoly:
-    """Weighted anticommutator coeff {s1(k), s2(k')}, both daggered or not.
-
-    species_pair is a tuple like ("a1", "b1"); coeff is a ring element,
-    such as a Hamiltonian weight in one sector (ring.in_sector).  The words
-    s1 s2 and s2 s1 each carry coeff * 1; the same op given twice makes
-    one word with coeff * 2.
-    """
-    s1, s2 = species_pair
-    poly = OperatorPoly.zero()
-    merge_pair(poly, ModeOp(s1, k_index, dagger), ModeOp(s2, kp_index, dagger),
-               Bicomplex.from_complex(coeff))
-    return poly
-
-
 def merge_pair(into: OperatorPoly, o1: ModeOp, o2: ModeOp,
                c: Bicomplex) -> None:
     """Merge the terms of c {o1, o2} into the polynomial `into`, in order.
 
-    The one route for a weighted anticommutator: pair_poly builds its
-    polynomial here, and hamiltonian_poly and charge_poly write each pair
-    straight into their running sums.
+    The one route for a weighted anticommutator: hamiltonian_poly and
+    charge_poly write each pair straight into their running sums.  The
+    words o1 o2 and o2 o1 each carry c * 1; the same op given twice makes
+    one word with c * 2.
     """
     if c.is_zero():
         return

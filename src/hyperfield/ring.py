@@ -108,10 +108,6 @@ class Bicomplex(NamedTuple):
         a, b, c, d = self
         return _new(Bicomplex, (a, -b, -c, d))
 
-    def modulus(self) -> "Bicomplex":
-        """Ring modulus a * conj(a); lies in the 1/ij subring."""
-        return self * self.conj()
-
     def plus(self) -> complex:
         """Standard-complex component multiplying J+."""
         x, y, u, v = self

@@ -42,12 +42,15 @@ class StateVector:
     The vacuum carries the empty label ().  Keys are sorted tuples of pair
     labels (tag, k_index, kp_index, flag).  weights maps each pair label
     of the exponent to its complex weight z when the state is that
-    exponent's truncated expansion ({} for the vacuum), and is None for a
-    state built by hand, summed or projected, whose kets need not factor.
+    exponent's truncated expansion ({} for an empty exponent), and is None
+    for a state built by hand, summed or projected, whose kets need not
+    factor.
 
     An expansion is built without its map: amplitudes is filled from the
     kets() walk, in that walk's order, when it is first read.  The CLI's
-    state dumps read kets() alone and never build it.
+    state dumps and norm_preservation read kets() alone and never build
+    it; the ring inner product of two states is _conj_sum over their
+    amplitude pairs.
     """
 
     __slots__ = ("_amplitudes", "truncation_order", "weights")
@@ -65,10 +68,6 @@ class StateVector:
             self._amplitudes = {key: amp for _label, key, amp in self.kets()}
         return self._amplitudes
 
-    @staticmethod
-    def vacuum() -> "StateVector":
-        return StateVector({(): Bicomplex.one()}, 0, {})
-
     def kets(self):
         """(label, key, amplitude) of every ket, in label-string order.
 
@@ -83,12 +82,6 @@ class StateVector:
                  for p in {p for key in self._amplitudes for p in key}}
         return sorted((";".join([names[p] for p in key]) or "vacuum", key, amp)
                       for key, amp in self._amplitudes.items())
-
-    def inner(self, other: "StateVector") -> Bicomplex:
-        """Ring inner product sum_K conj(amp_K) other_amp_K (_conj_sum)."""
-        mates = other.amplitudes
-        return _conj_sum((amp, mates[key])
-                         for key, amp in self.amplitudes.items() if key in mates)
 
     def __add__(self, other: "StateVector") -> "StateVector":
         out = dict(self.amplitudes)
@@ -227,17 +220,13 @@ def norm_preservation(t: float, order: int, params: FieldParams,
     (conj(J+ c) J+ c = 0), so the deviation vanishes identically at every
     truncation order; the returned float records the numerical residue.
     """
-    return norm_deviation(evolve_vacuum(t, order, params, geom, table))
-
-
-def norm_deviation(state: StateVector) -> float:
-    """|<state|state> - 1| in the ring pairing (see norm_preservation)."""
-    return amplitude_norm_deviation(state.amplitudes.values())
+    state = evolve_vacuum(t, order, params, geom, table)
+    return amplitude_norm_deviation(amp for _label, _key, amp in state.kets())
 
 
 def amplitude_norm_deviation(amps) -> float:
-    """|sum conj(a) a - 1| over the amplitudes a of a state's kets, summed
-    in the order given: norm_deviation of a state whose map lists them so."""
+    """|<state|state> - 1| in the ring pairing: |sum conj(a) a - 1| over
+    the amplitudes a of a state's kets, summed in the order given."""
     return (_conj_sum((a, a) for a in amps) - Bicomplex.one()).norm()
 
 
@@ -302,7 +291,8 @@ def asymptotic_state_infinite(t_values, params: FieldParams,
     The geometry kernel is a Dirac delta, so each mode carries the factor
     exp(z_k(t)) with z_k(t) = i t (2 pi dk) conj(h_gamma(k, k)): a pure
     phase when gamma = 0 (cyclostationary) and an exponential growth of
-    rate gamma * 2 pi dk sum_k w_k when gamma > 0.
+    rate gamma * 2 pi dk sum_k w_k when gamma > 0.  The measured rate is
+    log_modulus / t at every t != 0, before t = 0 as after, and 0 at t = 0.
     """
     dk = table.delta_k
     ks = [table.momentum(i) for i in table.momentum_indices()]
@@ -316,7 +306,7 @@ def asymptotic_state_infinite(t_values, params: FieldParams,
         # |e^z| is taken only at gamma = 0, where Re z = 0 cannot overflow
         cyclic = params.gamma == 0.0 and max(
             (abs(abs(cmath.exp(z)) - 1.0) for z in zs), default=0.0) < 1e-12
-        measured = log_mod / t if t > 0 else 0.0
+        measured = log_mod / t if t != 0 else 0.0
         out.append({
             "t": float(t),
             "log_modulus": log_mod,

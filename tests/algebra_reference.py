@@ -23,7 +23,9 @@ dataclass that the package's immutable tuple replaced.  And the lattice
 contraction that calls the commutator on every ladder pair, over
 operands whose terms are built as ring products.  The package
 computes none of these in production; the tests compare its results
-against them.
+against them.  merged_pair is the exception: one weighted pair written
+by the production operators.merge_pair, for tests that build a
+polynomial from pairs.
 """
 
 import cmath
@@ -46,7 +48,7 @@ from hyperfield.observables import (INFINITE_LINE, TWO_PI, geometry_kernel,
                                     h_gamma, hamiltonian_terms)
 from hyperfield.operators import (_A_FAMILY, _RHO_INDEX, CommutationTable,
                                   ModeOp, OperatorPoly, commutator,
-                                  normal_order)
+                                  merge_pair, normal_order)
 from hyperfield.ring import (Bicomplex, J_MINUS, J_PLUS, idempotents_exact,
                              in_sector)
 from hyperfield.states import TAG_MIRROR, TAG_SYSTEM, StateVector
@@ -299,13 +301,29 @@ def from_sectors(plus, minus) -> Bicomplex:
 
 def anticommutator(op1: ModeOp, op2: ModeOp) -> OperatorPoly:
     """{op1, op2} = op1 op2 + op2 op1 as an operator polynomial."""
-    out = OperatorPoly.from_word((op1, op2))
-    return out + OperatorPoly.from_word((op2, op1))
+    one = Bicomplex.one()
+    return OperatorPoly({(op1, op2): one}) + OperatorPoly({(op2, op1): one})
+
+
+def merged_pair(species_pair, k_index: int, kp_index: int, coeff,
+                dagger: bool = False) -> OperatorPoly:
+    """coeff {s1(k), s2(k')}, both daggered or not, written by
+    operators.merge_pair into an empty polynomial.
+
+    species_pair is a tuple like ("a1", "b1"); coeff is a ring element or
+    a complex or real scalar.  The production route of each pair that
+    hamiltonian_poly and charge_poly merge, for tests that need one pair.
+    """
+    s1, s2 = species_pair
+    poly = OperatorPoly.zero()
+    merge_pair(poly, ModeOp(s1, k_index, dagger), ModeOp(s2, kp_index, dagger),
+               Bicomplex.from_complex(coeff))
+    return poly
 
 
 def pair_poly_reference(species_pair, k_index: int, kp_index: int, coeff,
                         dagger: bool = False) -> OperatorPoly:
-    """operators.pair_poly as anticommutator(o1, o2).scale(coeff)."""
+    """merged_pair as anticommutator(o1, o2).scale(coeff)."""
     s1, s2 = species_pair
     return anticommutator(ModeOp(s1, k_index, dagger),
                           ModeOp(s2, kp_index, dagger)).scale(coeff)

@@ -17,9 +17,10 @@ from hyperfield import observables, states
 from hyperfield import verification as vf
 from hyperfield.modes import omega
 from hyperfield.observables import h_gamma
-from hyperfield.operators import (CommutationTable, OperatorPoly, VacuumRules,
-                                  pair_poly)
+from hyperfield.operators import CommutationTable, OperatorPoly, VacuumRules
 from hyperfield.ring import Bicomplex, in_sector
+
+from algebra_reference import merged_pair
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +106,10 @@ def _unconjugated_hc(params, geom, table, t=0.0):
     """H whose h.c. half carries w where it should carry conj(w)."""
     h = OperatorPoly.zero()
     for i, j, w in observables.hamiltonian_terms(params, geom, table, t):
-        h = (h + pair_poly(("a1", "b1"), i, j, in_sector(True, w))
-             + pair_poly(("b2", "a2"), j, i, in_sector(False, w))
-             + pair_poly(("a1", "b1"), i, j, in_sector(False, w), True)
-             + pair_poly(("b2", "a2"), j, i, in_sector(True, w), True))
+        h = (h + merged_pair(("a1", "b1"), i, j, in_sector(True, w))
+             + merged_pair(("b2", "a2"), j, i, in_sector(False, w))
+             + merged_pair(("a1", "b1"), i, j, in_sector(False, w), True)
+             + merged_pair(("b2", "a2"), j, i, in_sector(True, w), True))
     return h
 
 
@@ -244,6 +245,23 @@ def _rank_counting_zero_values(monkeypatch):
         map(len, states.schmidt_spectrum(state, partition))))
 
 
+def _edited_diagnostics(monkeypatch, edit):
+    """Criterion 10 reads each diagnostics row through edit(row)."""
+    diagnose = vf.asymptotic_state_infinite
+    monkeypatch.setattr(vf, "asymptotic_state_infinite", lambda *args: [
+        edit(d) for d in diagnose(*args)])
+
+
+def _predicted_rate_2pc_high(monkeypatch):
+    _edited_diagnostics(monkeypatch, lambda d: dict(
+        d, predicted_growth_rate=1.02 * d["predicted_growth_rate"]))
+
+
+def _never_cyclostationary(monkeypatch):
+    _edited_diagnostics(monkeypatch,
+                        lambda d: dict(d, is_cyclostationary=False))
+
+
 @pytest.mark.parametrize("seed_defect, cid, failing", [
     (_rank_without_left_labels, 9, {"rank(gamma=0.5)", "rank(gamma=0)"}),
     (_rank_counting_zero_values, 9, {"rank(t=0)"}),
@@ -257,11 +275,15 @@ def _rank_counting_zero_values(monkeypatch):
     (_plus_m2_in_pi_pi_weight, 3, {"pi_pi delta route vs engine"}),
     (_swapped_project_view, 11, {"plus-view kets with other tags",
                                  "minus-view kets with other tags"}),
-    (_closed_form_doubled_beyond_10, 12, {"fig1 non-decreasing steps"})],
+    (_closed_form_doubled_beyond_10, 12, {"fig1 non-decreasing steps"}),
+    (_predicted_rate_2pc_high, 10, {"|growth rate - predicted| at t=1",
+                                    "|growth rate - predicted| at t=5"}),
+    (_never_cyclostationary, 10, {"non-cyclostationary t > 0 at gamma=0"})],
     ids=["rank_without_left_labels", "rank_counting_zero_values",
          "k1_scaled_1e-5", "y1_scaled_1e-9", "sum_for_difference_bracket",
          "tripled_difference_bracket", "plus_m2_in_pi_pi_weight",
-         "swapped_views", "closed_form_doubled_beyond_dx_10"])
+         "swapped_views", "closed_form_doubled_beyond_dx_10",
+         "predicted_rate_2pc_high", "never_cyclostationary"])
 def test_seeded_defect_fails_only_its_criterion(monkeypatch, seed_defect,
                                                 cid, failing):
     seed_defect(monkeypatch)

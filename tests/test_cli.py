@@ -238,6 +238,19 @@ class TestAsymptotic:
         assert len(diags) == 3
         assert all(d["divergent"] for d in diags)  # default gamma = 0.5
 
+    def test_negative_times_report_the_predicted_rate(self, tmp_path):
+        r = run_cli(["asymptotic", "--geometry", "infinite",
+                     "--t-values=-2,-1,0,1,2"], tmp_path)
+        assert r.returncode == 0
+        diags = json.loads((tmp_path / "asymptotic_diagnostics.json").read_text())
+        for d in diags:
+            want = d["predicted_growth_rate"] if d["t"] else 0.0
+            assert d["modulus_growth_rate"] == pytest.approx(want, rel=1e-12)
+        rate = "divergent, growth rate 13.16"
+        assert r.stdout.splitlines()[:5] == [
+            f"t=-2: {rate}", f"t=-1: {rate}", "t=0: divergent, growth rate 0",
+            f"t=1: {rate}", f"t=2: {rate}"]
+
     def test_overflow_error_names_default_times(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"delta_k": 1e300}))

@@ -298,7 +298,8 @@ class TestLatticeContraction:
         # [Omega, Pi]: patching Omega spoils the left operand, Pi the right
         import hyperfield.commutators as fc
         linear = getattr(fc, builder)
-        pair = OperatorPoly.from_word((ModeOp("a1", 0), ModeOp("b1", 0)))
+        pair = OperatorPoly({(ModeOp("a1", 0), ModeOp("b1", 0)):
+                             Bicomplex.one()})
         monkeypatch.setattr(fc, builder,
                             lambda *args: linear(*args) + pair)
         with pytest.raises(ArithmeticError):

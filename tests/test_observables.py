@@ -5,14 +5,14 @@ import pytest
 
 from hyperfield import observables
 from hyperfield.modes import FieldParams, make_mode, omega
-from hyperfield.observables import (GeometrySpec, charge_density_classical,
-                                    charge_poly, geometry_kernel, h_gamma,
-                                    hamiltonian_poly, noether_residual, vev_Q)
+from hyperfield.observables import (GeometrySpec, charge_poly,
+                                    geometry_kernel, h_gamma, hamiltonian_poly,
+                                    noether_residual, vev_Q)
 from hyperfield.operators import (CommutationTable, VacuumRules, normal_order,
                                   vev)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
-from algebra_reference import commutator_with, polys_equal
+from algebra_reference import commutator_with, merged_pair, polys_equal
 
 
 @pytest.fixture
@@ -145,35 +145,6 @@ class TestCharge:
         assert vev_Q(p, table, VacuumRules.constrained_rules()).norm() <= 1e-13 * scale
 
 
-class TestChargeDensity:
-    def test_u1_limit(self):
-        got = charge_density_classical(1.2, -0.3, 0.0, 0.0, 0.5, 0.8, 0.0, 0.0)
-        assert got.is_close(Bicomplex(0.0, 0.8 * 1.2 - 0.5 * (-0.3), 0.0, 0.0), 1e-15)
-
-    def test_static_equal_fields(self):
-        assert charge_density_classical(1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0).is_zero()
-
-    def test_mirror_fields_cancel(self):
-        # Psi components equal to Phi components: both parts cancel
-        vals = (0.7, -0.4, 0.7, -0.4)
-        dots = (0.2, 1.1, 0.2, 1.1)
-        assert charge_density_classical(*vals, *dots).is_zero()
-
-    def test_half_the_gamma_free_noether_density(self):
-        # with W = Bicomplex(phi1, phi2, psi1, psi2) the density is
-        # (conj(W) dW - W conj(dW)) / 2, the gamma = 0 part of
-        # noether_residual's j0 halved: a second route to the same density
-        rng = random.Random(17)
-        worst = 0.0
-        for _ in range(10_000):
-            vals = [rng.uniform(-2.0, 2.0) for _ in range(8)]
-            w, wd = Bicomplex(*vals[:4]), Bicomplex(*vals[4:])
-            route = (w.conj() * wd - w * wd.conj()) * 0.5
-            worst = max(worst, (charge_density_classical(*vals) - route).norm()
-                        / (w.norm() * wd.norm()))
-        assert worst <= 1e-14
-
-
 class TestNoetherResidual:
     def test_on_shell(self):
         p = FieldParams(m=1.0, gamma=0.8)
@@ -257,14 +228,13 @@ class TestVevObservables:
     def test_term_by_term_cancellation(self, table):
         # every single-momentum integrand (pair plus its conjugate) has a
         # vanishing vev on its own under the constraints
-        from hyperfield.operators import pair_poly
         p = FieldParams(m=1.0, gamma=0.5)
         rules = VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j)
         i = table.momentum_indices()[3]
         k = table.momentum(i)
         c = Bicomplex.from_complex(h_gamma(k, k, p))
-        term = (pair_poly(("a1", "b1"), i, i, J_PLUS * c)
-                + pair_poly(("b2", "a2"), i, i, J_MINUS * c))
+        term = (merged_pair(("a1", "b1"), i, i, J_PLUS * c)
+                + merged_pair(("b2", "a2"), i, i, J_MINUS * c))
         term = term + term.adjoint()
         assert vev(term, rules, table).norm() <= 1e-14 * c.norm()
 

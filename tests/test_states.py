@@ -92,10 +92,30 @@ class TestEvolveVacuum:
         assert (a - b).norm() / b.norm() < 0.01
 
 
+def _vacuum() -> StateVector:
+    """The vacuum |0>: the empty ket with amplitude 1, and no weights."""
+    return StateVector({(): Bicomplex.one()}, 0, {})
+
+
 class TestNormPreservation:
     def test_zero_deviation(self, params, table):
         for t, order in ((0.0, 2), (0.5, 3), (2.0, 4)):
             assert norm_preservation(t, order, params, GEOM, table) == 0.0
+
+    def test_sums_the_kets_without_a_map(self, monkeypatch, params, table):
+        built = []
+        evolve = states.evolve_vacuum
+
+        def spy(*args):
+            built.append(evolve(*args))
+            return built[-1]
+
+        monkeypatch.setattr(states, "evolve_vacuum", spy)
+        dev = norm_preservation(0.5, 3, params, GEOM, table)
+        state, = built
+        assert state._amplitudes is None  # the walk alone, no ket map
+        assert dev.hex() == states.amplitude_norm_deviation(
+            state.amplitudes.values()).hex()
 
     def test_small_t_order_4(self, params, table):
         scale = sum(abs(w) for _i, _j, w in
@@ -180,7 +200,7 @@ class TestProjections:
 
 class TestSchmidtRank:
     def test_vacuum_rank_one(self):
-        assert schmidt_rank(StateVector.vacuum(), {0}) == 1
+        assert schmidt_rank(_vacuum(), {0}) == 1
 
     def test_entangled_asymptotic_states(self, table):
         part = {table.momentum_indices()[0]}
@@ -313,7 +333,7 @@ class TestSchmidtOracle:
             self.assert_matches(state, cut)
 
     def test_vacuum_and_empty_exponent(self):
-        for state in (StateVector.vacuum(), states._expand_exponential({}, 3)):
+        for state in (_vacuum(), states._expand_exponential({}, 3)):
             assert [list(sv) for sv in states.schmidt_spectrum(state, {0})] \
                 == [[1.0] + [0.0] * state.truncation_order] * 2
             self.assert_matches(state, {0})
@@ -361,6 +381,14 @@ class TestAsymptoticInfinite:
             assert d["divergent"]
             assert d["modulus_growth_rate"] == pytest.approx(expected, rel=1e-10)
 
+    def test_growth_rate_before_time_zero(self, table):
+        # log_modulus / t is the predicted rate on both sides of t = 0
+        p = FieldParams(m=1.0, gamma=0.7)
+        for d in asymptotic_state_infinite([-2.0, -1.0], p, table):
+            assert d["log_modulus"] < 0.0
+            assert d["modulus_growth_rate"] == pytest.approx(
+                d["predicted_growth_rate"], rel=1e-12, abs=0.0)
+
     def test_time_zero_vacuum(self, table):
         p = FieldParams(m=1.0, gamma=0.7)
         d = asymptotic_state_infinite([0.0], p, table)[0]
@@ -380,7 +408,7 @@ class TestStateVector:
     def test_inner_product_ring(self):
         s = StateVector({(): Bicomplex.one(),
                          (("2ba", 0, 0, 0),): J_PLUS * Bicomplex(0.3, 0.4, 0, 0)})
-        ip = s.inner(s)
+        ip = inner(s, s)
         assert ip.is_close(Bicomplex.one(), 0.0)  # zero-divisor orthogonality
 
     def test_jsonable_roundtrip_structure(self, params, table):
@@ -395,6 +423,14 @@ class TestStateVector:
                                        include_cross_term=True).to_jsonable()
         labels = list(amps["amplitudes"])
         assert labels == sorted(labels)
+
+
+def inner(x: StateVector, y: StateVector) -> Bicomplex:
+    """Ring inner product sum_K conj(x_K) y_K over the kets of x that y
+    holds, in x's order, through states._conj_sum."""
+    mates = y.amplitudes
+    return states._conj_sum((amp, mates[key])
+                            for key, amp in x.amplitudes.items() if key in mates)
 
 
 def _hexes(amps: dict) -> list:
@@ -461,16 +497,17 @@ class TestAgainstRingRoutes:
         pairs, order, state = _expanded(monkeypatch, build)
         want = _in_order_of(state, ref.expand_exponential_ring(pairs, order))
         assert _hexes(state.amplitudes) == _hexes(want)
-        ip = state.inner(state)
+        ip = inner(state, state)
         assert _hexes({0: ip}) == _hexes({0: ref.inner_ring(want, want)})
         dev = (ref.inner_ring(want, want) - Bicomplex.one()).norm()
-        assert states.norm_deviation(state).hex() == dev.hex()
+        got = states.amplitude_norm_deviation(state.amplitudes.values())
+        assert got.hex() == dev.hex()
 
     def test_inner_of_different_states(self):
         a = evolve_vacuum(0.3, 2, P_REF, GEOM, STAGGERED)
         b = asymptotic_state_finite(3, P_REF, -1.3, 1.7, STAGGERED)
         for x, y in ((a, b), (b, a)):
-            got = x.inner(y)
+            got = inner(x, y)
             want = ref.inner_ring(x.amplitudes, y.amplitudes)
             assert _hexes({0: got}) == _hexes({0: want})
 
@@ -488,7 +525,7 @@ class TestAgainstRingRoutes:
         a, b = state(40), state(30)
         for x, y in pairs + [(a, b), (b, a), (a, a)]:
             want = ref.inner_ring(x.amplitudes, y.amplitudes)
-            assert _hexes({0: x.inner(y)}) == _hexes({0: want})
+            assert _hexes({0: inner(x, y)}) == _hexes({0: want})
 
     def test_special_weights(self):
         # signed zeros, subnormals, overflow to inf and inf * 0 = nan
@@ -508,7 +545,7 @@ class TestAgainstRingRoutes:
                 want = _in_order_of(state,
                                     ref.expand_exponential_ring(pairs, order))
                 assert _hexes(state.amplitudes) == _hexes(want)
-                assert _hexes({0: state.inner(state)}) == _hexes(
+                assert _hexes({0: inner(state, state)}) == _hexes(
                     {0: ref.inner_ring(want, want)})
         zero, nan_ = (TAG_MIRROR, 0, 0, 0), (TAG_MIRROR, 1, 1, 0)
         assert math.isnan(state.amplitudes[(zero, nan_)].x)
@@ -562,4 +599,5 @@ def test_walk_matches_breadth_first_map_and_dump(monkeypatch, tmp_path, case,
     assert list(state.weights.items()) == list(want.weights.items())
     assert dict(_hexes(state.amplitudes)) == dict(_hexes(want.amplitudes))
     assert list(state.amplitudes) == [key for _, key, _ in want.kets()]
-    assert dev.hex() == states.norm_deviation(state).hex()
+    assert dev.hex() == states.amplitude_norm_deviation(
+        state.amplitudes.values()).hex()
