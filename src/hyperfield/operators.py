@@ -182,9 +182,6 @@ class OperatorPoly:
             result._merged(new_word, coeff.conj(), out)
         return result
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(c.norm() <= tol for c in self.terms.values())
-
     def max_norm(self) -> float:
         return max((c.norm() for c in self.terms.values()), default=0.0)
 

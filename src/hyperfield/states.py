@@ -12,8 +12,7 @@ expansion with per-label scalar weights.  The state keeps those weights,
 and its Schmidt spectrum across a momentum cut is read off them through
 an (n+1) x (n+1) degree-block matrix per sector, never off the kets.  Its
 kets are listed, in the label-string order of a state dump, by a walk
-over the weights; the ket map is built from that walk only when a
-state's amplitudes are first read.
+over the weights; no ket map is kept.
 """
 
 from __future__ import annotations
@@ -37,86 +36,41 @@ BASIS_CAP = 200_000
 
 
 class StateVector:
-    """Truncated ket: map from basis-ket label to Bicomplex amplitude.
+    """Truncated exponential of a creation exponent, held as its weights.
 
-    The vacuum carries the empty label ().  Keys are sorted tuples of pair
-    labels (tag, k_index, kp_index, flag).  weights maps each pair label
-    of the exponent to its complex weight z when the state is that
-    exponent's truncated expansion ({} for an empty exponent), and is None
-    for a state built by hand, summed or projected, whose kets need not
-    factor.
-
-    An expansion is built without its map: amplitudes is filled from the
-    kets() walk, in that walk's order, when it is first read.  The CLI's
-    state dumps and norm_preservation read kets() alone and never build
-    it; the ring inner product of two states is _conj_sum over their
-    amplitude pairs.
+    weights maps each pair label (tag, k_index, kp_index, flag) of the
+    exponent to its complex weight z ({} for an empty exponent, whose
+    expansion is the vacuum alone).  The kets are never stored: kets()
+    walks them off the weights, and amplitudes, the map from sorted label
+    tuple (the vacuum's is ()) to Bicomplex amplitude, is rebuilt from
+    that walk on every read.
     """
 
-    __slots__ = ("_amplitudes", "truncation_order", "weights")
+    __slots__ = ("weights", "truncation_order")
 
-    def __init__(self, amplitudes: dict | None = None, truncation_order: int = 0,
-                 weights: dict | None = None):
-        self._amplitudes = ({} if amplitudes is None and weights is None
-                            else amplitudes)
-        self.truncation_order = truncation_order
+    def __init__(self, weights: dict, truncation_order: int):
         self.weights = weights
+        self.truncation_order = truncation_order
 
     @property
     def amplitudes(self) -> dict:
-        if self._amplitudes is None:
-            self._amplitudes = {key: amp for _label, key, amp in self.kets()}
-        return self._amplitudes
+        return {key: amp for _label, key, amp in self.kets()}
 
     def kets(self):
-        """(label, key, amplitude) of every ket, in label-string order.
+        """(label, key, amplitude) of every nonzero ket, in label-string
+        order, walked off the weights by _expansion_kets.
 
         The label is "vacuum" for the empty key, else the "tag:k,kp,flag"
         pair labels joined by ";"; its order is the one json's sort_keys
-        gives.  An expansion whose map is unbuilt is walked label by label
-        (_expansion_kets); a map is sorted by label.
+        gives.
         """
-        if self._amplitudes is None:
-            return _expansion_kets(self.weights, self.truncation_order)
-        names = {p: _label_text(p)
-                 for p in {p for key in self._amplitudes for p in key}}
-        return sorted((";".join([names[p] for p in key]) or "vacuum", key, amp)
-                      for key, amp in self._amplitudes.items())
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        out = dict(self.amplitudes)
-        for key, amp in other.amplitudes.items():
-            s = out.get(key, Bicomplex.zero()) + amp
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return StateVector(out, max(self.truncation_order, other.truncation_order))
-
-    def excited_support(self) -> set:
-        return {k for k in self.amplitudes if k != ()}
+        return _expansion_kets(self.weights, self.truncation_order)
 
     def to_jsonable(self) -> dict:
         """Ket label -> four real amplitude components, in kets() order."""
         amps = {label: [float(x), float(y), float(u), float(v)]
                 for label, _key, (x, y, u, v) in self.kets()}
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
-
-
-def _conj_sum(pairs) -> Bicomplex:
-    """sum conj(a) * b over the (a, b) amplitude pairs, in their order.
-
-    Each term is conj(a) * b written out with Bicomplex.__mul__'s
-    grouping and summed into four floats, so no per-ket ring object is
-    built and the result keeps the ring product's bits.
-    """
-    sx = sy = su = sv = 0.0
-    for (x, y, u, v), (e, f, g, h) in pairs:
-        sx += (x * e - u * g) - (v * h - y * f)
-        sy += (x * f - u * h) + (v * g - y * e)
-        su += (x * g - u * e) - (v * f - y * h)
-        sv += (x * h - u * f) + (v * e - y * g)
-    return Bicomplex(sx, sy, su, sv)
 
 
 def _label_text(label: tuple) -> str:
@@ -132,8 +86,7 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
     a J+ ring amplitude, '1ab' with J-.  Mixed-sector products vanish
     (J+ J- = 0), so the two sectors expand independently.  The basis size
     is checked against BASIS_CAP from the multiset counts, zero kets
-    included, before any ket is listed; the kets are listed by
-    _expansion_kets when the state's kets() or amplitudes are read.
+    included, before any ket is listed.
     """
     size, per_sector = 1, 2 * len(pairs)
     for _tag in (TAG_MIRROR, TAG_SYSTEM):
@@ -146,7 +99,7 @@ def _expand_exponential(pairs: dict, order: int) -> StateVector:
     for tag in (TAG_MIRROR, TAG_SYSTEM):
         weights.update(sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
                                for flag in (0, 1)}.items()))
-    return StateVector(None, order, weights)
+    return StateVector(weights, order)
 
 
 def _expansion_kets(weights: dict, order: int):
@@ -226,8 +179,20 @@ def norm_preservation(t: float, order: int, params: FieldParams,
 
 def amplitude_norm_deviation(amps) -> float:
     """|<state|state> - 1| in the ring pairing: |sum conj(a) a - 1| over
-    the amplitudes a of a state's kets, summed in the order given."""
-    return (_conj_sum((a, a) for a in amps) - Bicomplex.one()).norm()
+    the amplitudes a of a state's kets, summed in the order given.
+
+    Each conj(a) a is written out with Bicomplex.__mul__'s grouping and
+    summed into four floats, so no per-ket ring object is built and the
+    sum keeps the ring product's bits.
+    """
+    sx = sy = su = sv = 0.0
+    for x, y, u, v in amps:
+        e, f, g, h = x, y, u, v
+        sx += (x * e - u * g) - (v * h - y * f)
+        sy += (x * f - u * h) + (v * g - y * e)
+        su += (x * g - u * e) - (v * f - y * h)
+        sv += (x * h - u * f) + (v * e - y * g)
+    return (Bicomplex(sx, sy, su, sv) - Bicomplex.one()).norm()
 
 
 def eta_k(k: float, params: FieldParams) -> complex:
@@ -269,19 +234,21 @@ def asymptotic_state_finite(order: int, params: FieldParams, L1: float,
     return _expand_exponential(pairs, order)
 
 
-def project_view(state: StateVector, side: str) -> StateVector:
-    """Projection J+ (side 'plus') or J- ('minus') of every amplitude.
+def project_view(state: StateVector, side: str) -> dict:
+    """Projection J+ (side 'plus') or J- ('minus') of every amplitude:
+    key -> the nonzero product, over the state's kets in kets() order.
 
     The plus view retains the mirror-copy kets (tag '2ba'), the minus view
-    the subsystem kets (tag '1ab'); the two views recompose to the state.
+    the subsystem kets (tag '1ab'), and both the vacuum; the two views sum
+    to the state.
     """
     proj = J_PLUS if side == "plus" else J_MINUS
     out = {}
-    for key, amp in state.amplitudes.items():
+    for _label, key, amp in state.kets():
         p = proj * amp
         if not p.is_zero():
             out[key] = p
-    return StateVector(out, state.truncation_order)
+    return out
 
 
 def asymptotic_state_infinite(t_values, params: FieldParams,
@@ -353,12 +320,8 @@ def schmidt_spectrum(state: StateVector, partition: set) -> list:
     matrix over (left, right) multisets reduces exactly to the
     (n+1) x (n+1) matrix T_ab = sqrt(F_a G_b) [a + b <= n] of the left
     (right) _degree_norms F (G) at truncation order n.  Raises DomainError
-    for a state without weights, and when a sector's largest value is not
-    finite (the norm overflows).
+    when a sector's largest value is not finite (the norm overflows).
     """
-    if state.weights is None:
-        raise DomainError("Schmidt spectrum of a state without label "
-                          "weights: only an expansion's kets factor")
     n = state.truncation_order
     spectra = []
     for tag in (TAG_MIRROR, TAG_SYSTEM):

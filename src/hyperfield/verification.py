@@ -333,11 +333,16 @@ def _states_lattice(n_max: int = 4) -> CommutationTable:
 
 def _pair_sums(name: str, state: st.StateVector, z: list) -> tuple:
     """Check that per sector the n-pair amplitudes sum to (sum z)^n / n!
-    to 1e-12 of (sum |z|)^n / n!, z the label weights (two per pair)."""
+    to 1e-12 of (sum |z|)^n / n!, z the label weights (two per pair).
+    One walk of the kets groups them by sector and degree, each group in
+    walk order."""
     s, a = 2.0 * sum(z), 2.0 * sum(map(abs, z))
+    groups: dict = {}
+    for _label, key, amp in state.kets():
+        if key:
+            groups.setdefault((key[0][0], len(key)), []).append(amp)
     return (f"{name} n-pair amplitude sums", max(abs(math.factorial(n) * sum(
-        part(amp) for key, amp in state.amplitudes.items()
-        if len(key) == n and key[0][0] == tag) - s ** n) / a ** n
+        map(part, groups.get((tag, n), ()))) - s ** n) / a ** n
         for tag, part in ((st.TAG_MIRROR, Bicomplex.plus),
                           (st.TAG_SYSTEM, Bicomplex.minus))
         for n in range(1, state.truncation_order + 1)), 1e-12, "<=")
@@ -412,8 +417,12 @@ def criterion_11_projections() -> dict:
     state = asymptotic_state_finite(2, p, -1.0, 2.0, table)
     pv = project_view(state, "plus")
     mv = project_view(state, "minus")
-    plus, minus = pv.excited_support(), mv.excited_support()
-    rec = (pv + mv).amplitudes
+    plus, minus = set(pv) - {()}, set(mv) - {()}
+    rec = dict(pv)  # the views' sum, its zero amplitudes dropped
+    for key, amp in mv.items():
+        s = rec.pop(key, Bicomplex.zero()) + amp
+        if not s.is_zero():
+            rec[key] = s
     amps = state.amplitudes
     return _report(11, "sector projections split and recompose the state",
                    "disjoint excited supports with the right species tags; "

@@ -29,6 +29,7 @@ polynomial from pairs.
 """
 
 import cmath
+import json
 import math
 import operator
 import random
@@ -51,7 +52,7 @@ from hyperfield.operators import (_A_FAMILY, _RHO_INDEX, CommutationTable,
                                   merge_pair, normal_order)
 from hyperfield.ring import (Bicomplex, J_MINUS, J_PLUS, idempotents_exact,
                              in_sector)
-from hyperfield.states import TAG_MIRROR, TAG_SYSTEM, StateVector
+from hyperfield.states import TAG_MIRROR, TAG_SYSTEM
 
 SPECIES = ("a1", "b1", "a2", "b2")
 
@@ -83,7 +84,7 @@ def scalar_part(poly: OperatorPoly) -> Bicomplex:
 def polys_equal(p: OperatorPoly, q: OperatorPoly, table: CommutationTable,
                 tol: float = 0.0) -> bool:
     """Equality as algebra elements (compares normal forms)."""
-    return (normal_order(p, table) - normal_order(q, table)).is_zero(tol)
+    return (normal_order(p, table) - normal_order(q, table)).max_norm() <= tol
 
 
 def pair_commutation_check(table: CommutationTable) -> bool:
@@ -128,7 +129,7 @@ def expand_exponential_ring(pairs: dict, order: int) -> dict:
     return amps
 
 
-def expand_exponential_breadth_first(pairs: dict, order: int) -> StateVector:
+def expand_exponential_breadth_first(pairs: dict, order: int) -> dict:
     """The package's former expansion: a ket map built degree by degree.
 
     Sector '2ba' and then '1ab'; degree n extends each degree n - 1
@@ -139,12 +140,10 @@ def expand_exponential_breadth_first(pairs: dict, order: int) -> StateVector:
     are checked against states.BASIS_CAP.
     """
     amps: dict = {(): Bicomplex.one()}
-    weights: dict = {}
 
     for tag in (TAG_MIRROR, TAG_SYSTEM):
         labels = sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
                          for flag in (0, 1)}.items())
-        weights.update(labels)
         if not labels:
             continue
         plus = tag == TAG_MIRROR
@@ -170,11 +169,27 @@ def expand_exponential_breadth_first(pairs: dict, order: int) -> StateVector:
                     if any(amp):
                         amps[combo] = amp
             prefixes = grown
-    return StateVector(amps, order, weights)
+    return amps
 
 
-def schmidt_spectrum_dense(state, partition: set) -> list:
-    """Singular values of each idempotent sector's ket-by-ket matrix.
+def ket_label(key: tuple) -> str:
+    """A ket's label in a state dump: its pair labels written
+    "tag:k,kp,flag" and joined by ";", or "vacuum" for the empty key."""
+    return ";".join(f"{tag}:{i},{j},{flag}" for tag, i, j, flag in key) \
+        or "vacuum"
+
+
+def state_dump(amps: dict, order: int) -> str:
+    """json.dump(..., indent=2, sort_keys=True) of a ket map as a state
+    dump, with its closing newline."""
+    return json.dumps({"truncation_order": order, "amplitudes": {
+        ket_label(key): list(amp.to_tuple()) for key, amp in amps.items()}},
+        indent=2, sort_keys=True) + "\n"
+
+
+def schmidt_spectrum_dense(amps: dict, partition: set) -> list:
+    """Singular values of each idempotent sector's ket-by-ket matrix, over
+    a ket map's (key, amplitude) items in their order.
 
     The package's former Schmidt route: each ket multiset splits into the
     pair labels whose first momentum index lies in the partition and the
@@ -186,7 +201,7 @@ def schmidt_spectrum_dense(state, partition: set) -> list:
     li: dict = {}
     ri: dict = {}
     rows, cols, comps = [], [], []
-    for key, amp in state.amplitudes.items():
+    for key, amp in amps.items():
         left, right = [], []
         for p in key:
             (left if p[1] in partition else right).append(p)
@@ -212,11 +227,11 @@ def schmidt_spectrum_dense(state, partition: set) -> list:
     return spectra
 
 
-def schmidt_rank_dense(state, partition: set) -> int:
+def schmidt_rank_dense(amps: dict, partition: set) -> int:
     """The larger count over sectors of singular values above 1e-10 times
     the sector's largest, on schmidt_spectrum_dense."""
     return max(int((sv > 1e-10 * sv[0]).sum())
-               for sv in schmidt_spectrum_dense(state, partition))
+               for sv in schmidt_spectrum_dense(amps, partition))
 
 
 def inner_ring(left: dict, right: dict) -> Bicomplex:

@@ -136,15 +136,11 @@ def test_non_hermitian_operator_fails_criterion_7(monkeypatch, builder,
 
 
 def _seeded_expansion(monkeypatch, rewrite):
-    """states._expand_exponential with each amplitude rewritten."""
-    expand = states._expand_exponential
-
-    def seeded(pairs, order):
-        state = expand(pairs, order)
-        for key, amp in state.amplitudes.items():
-            state.amplitudes[key] = rewrite(key, amp)
-        return state
-    monkeypatch.setattr(states, "_expand_exponential", seeded)
+    """states._expansion_kets with each amplitude rewritten."""
+    walk = states._expansion_kets
+    monkeypatch.setattr(states, "_expansion_kets", lambda weights, order: (
+        (label, key, rewrite(key, amp))
+        for label, key, amp in walk(weights, order)))
 
 
 def _unconjugated_double_weight(monkeypatch):

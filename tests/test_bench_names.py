@@ -9,6 +9,8 @@ perfbench/workloads.py and perfbench/selftest.py are read as syntax trees,
 not imported: every attribute chain rooted at a name imported from
 hyperfield must resolve, and every call of such a chain, direct or through
 the workloads' ``_call(fn, *args)``, must bind to the callee's signature.
+Each measure the tracer takes of a result is applied to a real result of
+its function, so a renamed attribute it reads fails here too.
 """
 
 import ast
@@ -18,6 +20,11 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from hyperfield import observables, operators, states
+from hyperfield.modes import FieldParams
+from hyperfield.observables import GeometrySpec
+from hyperfield.operators import CommutationTable
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = BENCH / "tracer.py"
@@ -38,6 +45,41 @@ tracer = _load_tracer()
 def test_traced_name_resolves(entry):
     owner, attr = entry[0], entry[1]
     assert callable(getattr(owner, attr, None)), f"{owner!r} has no {attr}"
+
+
+MEASURED = [entry for entry in tracer.SPANS if entry[4]]
+
+
+def _measured_calls() -> dict:
+    """Arguments of a 4-mode call of each function whose span measures
+    its result, by the attribute the tracer replaces."""
+    table = CommutationTable(delta_k=0.2, N=2, stagger=True)
+    p = FieldParams(m=1.0, gamma=0.5)
+    geom = GeometrySpec("infinite_line")
+    h = observables.hamiltonian_poly(p, geom, table)
+    q = observables.charge_poly(p, table)
+    return {"__mul__": (h, q), "normal_order": (h * q, table),
+            "hamiltonian_poly": (p, geom, table),
+            "evolve_vacuum": (0.3, 2, p, geom, table),
+            "asymptotic_state_finite": (2, p, -1.0, 2.0, table)}
+
+
+def test_every_measure_has_a_call():
+    assert sorted(entry[1] for entry in MEASURED) == sorted(_measured_calls())
+
+
+@pytest.mark.parametrize("entry", MEASURED,
+                         ids=lambda e: f"{e[2]}.{e[4][0]}")
+def test_measure_counts_a_real_result(entry):
+    owner, attr, _name, _calls, (_metric, measure) = entry
+    result = getattr(owner, attr)(*_measured_calls()[attr])
+    if isinstance(result, states.StateVector):
+        want = sum(1 for _ in result.kets())
+    else:
+        assert isinstance(result, operators.OperatorPoly)
+        want = len(result.terms)
+    assert want > 0
+    assert measure(result) == want
 
 
 def _imported(tree) -> dict:

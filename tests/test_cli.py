@@ -162,26 +162,27 @@ class TestStateWriter:
                math.inf, -math.inf, 0.1, -2.5e-7)
 
     @staticmethod
-    def random_state(rng, kets):
-        amps = {}
-        for _ in range(kets):
-            key = tuple(sorted((rng.choice(("2ba", "1ab")), rng.randint(-9, 9),
-                                rng.randint(-9, 9), rng.randint(0, 1))
-                               for _ in range(rng.randint(0, 3))))
-            amps[key] = Bicomplex(*(
-                rng.choice(TestStateWriter.SPECIAL) if rng.random() < 0.5
-                else rng.uniform(-1e3, 1e3) for _ in range(4)))
-        return StateVector(amps, rng.randint(0, 4))
+    def rows(amps: dict) -> list:
+        """A ket map's (label, key, amplitude) rows in label order, as
+        StateVector.kets() lists them."""
+        return sorted((ref.ket_label(key), key, amp) for key, amp in amps.items())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bytes_match_json_dump(self, seed):
         rng = random.Random(seed)
-        state = self.random_state(rng, 8 * seed)
-        want = json.dumps(state.to_jsonable(), indent=2, sort_keys=True) + "\n"
-        chunks = list(cli._state_chunks(state.kets(), state.truncation_order))
-        assert "".join(chunks) == want
+        amps = {}
+        for _ in range(8 * seed):
+            key = tuple(sorted((rng.choice(("2ba", "1ab")), rng.randint(-9, 9),
+                                rng.randint(-9, 9), rng.randint(0, 1))
+                               for _ in range(rng.randint(0, 3))))
+            amps[key] = Bicomplex(*(
+                rng.choice(self.SPECIAL) if rng.random() < 0.5
+                else rng.uniform(-1e3, 1e3) for _ in range(4)))
+        order = rng.randint(0, 4)
+        chunks = list(cli._state_chunks(self.rows(amps), order))
+        assert "".join(chunks) == ref.state_dump(amps, order)
         # streamed: one chunk per ket plus the opening and the closing
-        assert len(chunks) == len(state.amplitudes) + 2
+        assert len(chunks) == len(amps) + 2
 
     def test_recurring_components(self):
         # each value recurs across kets and within one: a text kept per
@@ -193,10 +194,8 @@ class TestStateWriter:
                 for i in range(6) for j in range(4)}
         amps.update({(("1ab", 9, 9, 1),) * (n + 1): Bicomplex(c, c, c, c)
                      for n, c in enumerate(values)})
-        state = StateVector(amps, 6)
-        want = json.dumps(state.to_jsonable(), indent=2, sort_keys=True) + "\n"
-        chunks = list(cli._state_chunks(state.kets(), 6))
-        assert "".join(chunks) == want
+        chunks = list(cli._state_chunks(self.rows(amps), 6))
+        assert "".join(chunks) == ref.state_dump(amps, 6)
         assert len(chunks) == len(amps) + 2
 
 

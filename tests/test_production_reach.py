@@ -20,6 +20,11 @@ it calls counts as reached:
 A name outside these that the walk does not reach fails the test, and so
 does a PENDING or HAND entry that no longer exists or that the other
 roots reach without it.
+
+Matching by name has one blind spot: a method that shares its name with
+another class's reached method is reached with it, read or not.  So the
+method names defined in two src classes must be exactly SHARED, each
+entry naming the reader of every method it covers.
 """
 
 import ast
@@ -42,6 +47,14 @@ HAND = {
     "IJ_UNIT": "the ring's unit basis {1, i, j, ij} is exported whole",
     "is_close": "Bicomplex.is_close is the tolerance comparison of about "
                 "60 tier-1 call sites",
+}
+
+SHARED = {
+    "adjoint": "criterion 7 reads OperatorPoly.adjoint, which calls "
+               "ModeOp.adjoint on every word, as vev does",
+    "zero": "the Hamiltonian and charge builders start from "
+            "OperatorPoly.zero, the commutator and ring code from "
+            "Bicomplex.zero",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -154,10 +167,18 @@ def test_no_exemption_is_stale():
 def test_the_walk_follows_calls_tables_and_the_bench():
     reached = _reached(ROOTS)
     # main -> cmd_evolve -> _dump_state -> amplitude_norm_deviation
-    assert "_conj_sum" in reached
+    assert "amplitude_norm_deviation" in reached
     # the kernel table's rows call the brackets at lookup time
     assert {"KERNELS", "Kernel", "bind", "difference_bracket"} <= reached
     # perfbench alone reads these wrappers
     wrappers = {"lattice_commutator", "commutator_omega_pi_quadrature",
                 "vev_Q", "to_jsonable", "QuadratureSpec"}
     assert wrappers <= BENCH_NAMES and not wrappers & reached
+
+
+def test_shared_method_names_are_listed():
+    shared = {name for name, entries in DEFS.items()
+              if sum(qualified.count(".") == 2 for qualified, _ in entries) > 1}
+    assert shared == set(SHARED), (
+        f"method names in two classes: {sorted(shared)}; a shared name is "
+        f"reached whenever either method is, so list each with its readers")

@@ -1,6 +1,5 @@
 import argparse
 import itertools
-import json
 import math
 
 import numpy as np
@@ -56,7 +55,7 @@ class TestEvolveVacuum:
 
     def test_both_orderings_created(self, params, table):
         s = evolve_vacuum(0.7, 1, params, GEOM, table)
-        flags = {key[0][3] for key in s.excited_support()}
+        flags = {key[0][3] for key in s.amplitudes if key}
         assert flags == {0, 1}
 
     def test_basis_cap(self, params, table, monkeypatch):
@@ -73,7 +72,7 @@ class TestEvolveVacuum:
         # = 49 > 40 at order 2 of the second sector
         monkeypatch.setattr(states, "BASIS_CAP", 40)
         pairs = {(0, 0): complex(1e-200), (1, 1): complex(1e-200)}
-        assert len(ref.expand_exponential_breadth_first(pairs, 3).amplitudes) == 9
+        assert len(ref.expand_exponential_breadth_first(pairs, 3)) == 9
         with pytest.raises(TruncationOrderTooLarge,
                            match=r"^basis would exceed cap 40 at order 2$"):
             states._expand_exponential(pairs, 3)
@@ -93,8 +92,8 @@ class TestEvolveVacuum:
 
 
 def _vacuum() -> StateVector:
-    """The vacuum |0>: the empty ket with amplitude 1, and no weights."""
-    return StateVector({(): Bicomplex.one()}, 0, {})
+    """The vacuum |0>: the expansion of an empty exponent at order 0."""
+    return StateVector({}, 0)
 
 
 class TestNormPreservation:
@@ -111,9 +110,12 @@ class TestNormPreservation:
             return built[-1]
 
         monkeypatch.setattr(states, "evolve_vacuum", spy)
+        # the walk alone, no ket map
+        monkeypatch.setattr(StateVector, "amplitudes", property(
+            lambda _state: pytest.fail("norm_preservation built the ket map")))
         dev = norm_preservation(0.5, 3, params, GEOM, table)
+        monkeypatch.undo()
         state, = built
-        assert state._amplitudes is None  # the walk alone, no ket map
         assert dev.hex() == states.amplitude_norm_deviation(
             state.amplitudes.values()).hex()
 
@@ -182,20 +184,19 @@ class TestProjections:
         s = asymptotic_state_finite(2, params, -1.0, 2.0, table)
         pv = project_view(s, "plus")
         mv = project_view(s, "minus")
-        assert all({l[0] for l in key} == {TAG_MIRROR}
-                   for key in pv.excited_support())
-        assert all({l[0] for l in key} == {TAG_SYSTEM}
-                   for key in mv.excited_support())
-        assert pv.excited_support().isdisjoint(mv.excited_support())
-        rec = pv + mv
-        assert set(rec.amplitudes) == set(s.amplitudes)
-        for key in s.amplitudes:
-            assert rec.amplitudes[key].is_close(s.amplitudes[key], 0.0)
+        assert all({l[0] for l in key} == {TAG_MIRROR} for key in pv if key)
+        assert all({l[0] for l in key} == {TAG_SYSTEM} for key in mv if key)
+        assert pv.keys() & mv.keys() == {()}
+        amps = s.amplitudes
+        assert pv.keys() | mv.keys() == amps.keys()
+        zero = Bicomplex.zero()
+        for key, amp in amps.items():
+            assert (pv.get(key, zero) + mv.get(key, zero)).is_close(amp, 0.0)
 
     def test_vacuum_in_both_views(self, params, table):
         s = asymptotic_state_finite(1, params, -1.0, 2.0, table)
-        assert () in project_view(s, "plus").amplitudes
-        assert () in project_view(s, "minus").amplitudes
+        assert () in project_view(s, "plus")
+        assert () in project_view(s, "minus")
 
 
 class TestSchmidtRank:
@@ -248,7 +249,7 @@ class TestSchmidtRank:
         # singular values 9.2e9 down to 1.0e6, then round-off from 5e-7 down;
         # no row or column order of the ket-by-ket oracle may let the
         # round-off count (the package's degree-block matrix has no rows
-        # per ket, and a shuffled hand-built state carries no weights)
+        # per ket)
         t = CommutationTable(delta_k=0.1, N=8, stagger=True)
         s = asymptotic_state_finite(3, FieldParams(m=2.0, gamma=1.5),
                                     -20.0, 20.0, t)
@@ -257,7 +258,7 @@ class TestSchmidtRank:
         rng = np.random.default_rng(5)
         for _ in range(4):
             order = rng.permutation(len(items))
-            shuffled = StateVector(dict(items[n] for n in order), 3)
+            shuffled = dict(items[n] for n in order)
             assert ref.schmidt_rank_dense(shuffled, part) == 4
 
     def test_overflowing_norm_raises(self):
@@ -316,9 +317,10 @@ class TestSchmidtOracle:
 
     @staticmethod
     def assert_matches(state, cut):
-        assert schmidt_rank(state, cut) == ref.schmidt_rank_dense(state, cut)
+        amps = state.amplitudes
+        assert schmidt_rank(state, cut) == ref.schmidt_rank_dense(amps, cut)
         got = states.schmidt_spectrum(state, cut)
-        want = ref.schmidt_spectrum_dense(state, cut)
+        want = ref.schmidt_spectrum_dense(amps, cut)
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):
             # the nonzero values agree; either side's surplus is zeros
@@ -337,15 +339,6 @@ class TestSchmidtOracle:
             assert [list(sv) for sv in states.schmidt_spectrum(state, {0})] \
                 == [[1.0] + [0.0] * state.truncation_order] * 2
             self.assert_matches(state, {0})
-
-    def test_state_without_weights_is_refused(self, params, table):
-        s = asymptotic_state_finite(2, params, -1.0, 2.0, table)
-        part = {table.momentum_indices()[0]}
-        for built in (StateVector(dict(s.amplitudes), 2),
-                      project_view(s, "plus"), s + s):
-            assert built.weights is None
-            with pytest.raises(DomainError, match="without label weights"):
-                schmidt_rank(built, part)
 
 
 def test_rank_decomposes_degree_blocks_only(monkeypatch):
@@ -405,11 +398,10 @@ class TestAsymptoticInfinite:
 
 
 class TestStateVector:
-    def test_inner_product_ring(self):
-        s = StateVector({(): Bicomplex.one(),
-                         (("2ba", 0, 0, 0),): J_PLUS * Bicomplex(0.3, 0.4, 0, 0)})
-        ip = inner(s, s)
-        assert ip.is_close(Bicomplex.one(), 0.0)  # zero-divisor orthogonality
+    def test_norm_of_zero_divisor_kets(self):
+        # the excited amplitude pairs with itself to zero
+        amps = [Bicomplex.one(), J_PLUS * Bicomplex(0.3, 0.4, 0, 0)]
+        assert states.amplitude_norm_deviation(amps) == 0.0
 
     def test_jsonable_roundtrip_structure(self, params, table):
         s = asymptotic_state_finite(1, params, -1.0, 2.0, table)
@@ -425,12 +417,10 @@ class TestStateVector:
         assert labels == sorted(labels)
 
 
-def inner(x: StateVector, y: StateVector) -> Bicomplex:
-    """Ring inner product sum_K conj(x_K) y_K over the kets of x that y
-    holds, in x's order, through states._conj_sum."""
-    mates = y.amplitudes
-    return states._conj_sum((amp, mates[key])
-                            for key, amp in x.amplitudes.items() if key in mates)
+def _ring_deviation(amps: dict) -> str:
+    """float.hex of |<state|state> - 1| summed as ring objects, in the
+    map's order: the reference of states.amplitude_norm_deviation."""
+    return (ref.inner_ring(amps, amps) - Bicomplex.one()).norm().hex()
 
 
 def _hexes(amps: dict) -> list:
@@ -444,7 +434,7 @@ def _in_order_of(state, amps: dict) -> dict:
 
     The package lists an expansion's kets depth-first in label-string
     order, the ring route breadth-first; the same kets must agree bit for
-    bit, and an inner product summed in the same order must too.
+    bit, and a norm summed in the same order must too.
     """
     if set(amps) != set(state.amplitudes):
         return amps
@@ -482,7 +472,7 @@ def _asymptotic(cross):
 
 
 class TestAgainstRingRoutes:
-    """Closed-form expansion and inner product against the Bicomplex routes."""
+    """Closed-form expansion and norm against the Bicomplex routes."""
 
     @pytest.mark.parametrize("build", [
         _evolved(0.37, STAGGERED, GEOM), _evolved(-0.6, STAGGERED, GEOM),
@@ -493,39 +483,26 @@ class TestAgainstRingRoutes:
     ], ids=["infinite", "t_negative", "t_zero", "unstaggered_finite",
             "unstaggered_t_negative", "staggered_finite", "asymptotic",
             "asymptotic_cross_term"])
-    def test_expansion_and_inner_bit_identical(self, monkeypatch, build):
+    def test_expansion_and_norm_bit_identical(self, monkeypatch, build):
         pairs, order, state = _expanded(monkeypatch, build)
         want = _in_order_of(state, ref.expand_exponential_ring(pairs, order))
         assert _hexes(state.amplitudes) == _hexes(want)
-        ip = inner(state, state)
-        assert _hexes({0: ip}) == _hexes({0: ref.inner_ring(want, want)})
-        dev = (ref.inner_ring(want, want) - Bicomplex.one()).norm()
         got = states.amplitude_norm_deviation(state.amplitudes.values())
-        assert got.hex() == dev.hex()
+        assert got.hex() == _ring_deviation(want)
 
-    def test_inner_of_different_states(self):
-        a = evolve_vacuum(0.3, 2, P_REF, GEOM, STAGGERED)
-        b = asymptotic_state_finite(3, P_REF, -1.3, 1.7, STAGGERED)
-        for x, y in ((a, b), (b, a)):
-            got = inner(x, y)
-            want = ref.inner_ring(x.amplitudes, y.amplitudes)
-            assert _hexes({0: got}) == _hexes({0: want})
-
-    def test_inner_of_general_amplitudes(self):
+    def test_norm_of_general_amplitudes(self):
         # all four parts nonzero, so the grouping of each product's sums
-        # decides its rounding; one-ket states keep a sum from hiding it
+        # decides its rounding; one-ket maps keep a sum from hiding it
         rng = np.random.default_rng(3)
         keys = [((TAG_MIRROR, i, i, 0),) for i in range(40)]
 
-        def state(kets):
-            return StateVector({key: Bicomplex(*map(float, rng.uniform(-2, 2, 4)))
-                                for key in keys[:kets]})
+        def amps(kets):
+            return {key: Bicomplex(*map(float, rng.uniform(-2, 2, 4)))
+                    for key in keys[:kets]}
 
-        pairs = [(state(1), state(1)) for _ in range(50)]
-        a, b = state(40), state(30)
-        for x, y in pairs + [(a, b), (b, a), (a, a)]:
-            want = ref.inner_ring(x.amplitudes, y.amplitudes)
-            assert _hexes({0: inner(x, y)}) == _hexes({0: want})
+        for x in [amps(1) for _ in range(50)] + [amps(40), amps(30)]:
+            got = states.amplitude_norm_deviation(x.values())
+            assert got.hex() == _ring_deviation(x)
 
     def test_special_weights(self):
         # signed zeros, subnormals, overflow to inf and inf * 0 = nan
@@ -545,8 +522,8 @@ class TestAgainstRingRoutes:
                 want = _in_order_of(state,
                                     ref.expand_exponential_ring(pairs, order))
                 assert _hexes(state.amplitudes) == _hexes(want)
-                assert _hexes({0: inner(state, state)}) == _hexes(
-                    {0: ref.inner_ring(want, want)})
+                assert states.amplitude_norm_deviation(
+                    state.amplitudes.values()).hex() == _ring_deviation(want)
         zero, nan_ = (TAG_MIRROR, 0, 0, 0), (TAG_MIRROR, 1, 1, 0)
         assert math.isnan(state.amplitudes[(zero, nan_)].x)
         assert ((TAG_SYSTEM, 2, 2, 1),) * 4 in state.amplitudes
@@ -592,12 +569,14 @@ def test_walk_matches_breadth_first_map_and_dump(monkeypatch, tmp_path, case,
     dev, kets, _, _ = cli._dump_state(state, table, argparse.Namespace(
         output=str(out)), cli.DEFAULT_CONFIG, "evolved", case)
     # by line, so a failure reports the first differing line at once
-    assert out.read_text().splitlines(True) == (json.dumps(
-        want.to_jsonable(), indent=2, sort_keys=True) + "\n").splitlines(True)
-    assert kets == len(want.amplitudes)
+    assert out.read_text().splitlines(True) == ref.state_dump(
+        want, order).splitlines(True)
+    assert kets == len(want)
 
-    assert list(state.weights.items()) == list(want.weights.items())
-    assert dict(_hexes(state.amplitudes)) == dict(_hexes(want.amplitudes))
-    assert list(state.amplitudes) == [key for _, key, _ in want.kets()]
+    assert list(state.weights.items()) == [
+        ((tag, i, j, flag), z) for tag in (TAG_MIRROR, TAG_SYSTEM)
+        for (i, j), z in sorted(pairs.items()) for flag in (0, 1)]
+    assert dict(_hexes(state.amplitudes)) == dict(_hexes(want))
+    assert list(state.amplitudes) == sorted(want, key=ref.ket_label)
     assert dev.hex() == states.amplitude_norm_deviation(
         state.amplitudes.values()).hex()
