@@ -14,10 +14,11 @@ and momentum integrals as delta_k * sum over sites.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import UndeterminedByAxioms
+from .errors import DomainError, UndeterminedByAxioms
 from .ring import Bicomplex, in_sector
 
 _RANK = {"a1": 0, "b1": 1, "a2": 2, "b2": 3}
@@ -124,13 +125,17 @@ class OperatorPoly:
 
     terms maps a tuple of ModeOp (a word; () is the identity) to its
     coefficient.  Values are immutable by convention: operations return
-    new polynomials.
+    new polynomials.  _normal memoizes the last normal_order as
+    (table, normal form); that normal form is shared by every caller
+    that asks for it again, so callers must not mutate it.  merge_pair,
+    the one routine that writes into an existing polynomial, resets it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_normal")
 
     def __init__(self, terms: dict | None = None):
         self.terms = {} if terms is None else terms
+        self._normal = None
 
     # -- constructors ------------------------------------------------------
 
@@ -205,6 +210,7 @@ def merge_pair(into: OperatorPoly, o1: ModeOp, o2: ModeOp,
     """
     if c.is_zero():
         return
+    into._normal = None
     terms = into.terms
     if o1 == o2:
         into._merged((o1, o2), c * Bicomplex(2.0), terms)
@@ -237,7 +243,15 @@ def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
     an out-of-order two-op word is rewritten in closed form, merging
     the central term and then the swapped word, the order in which the
     stack would pop them.
+
+    The result is memoized on poly per table object (equal tables can
+    differ in signed zeros) and returned again on a repeat call; the memo
+    is written once the rewriting finishes, never on the result itself,
+    whose normal form would reverse its insertion order.
     """
+    memo = poly._normal
+    if memo is not None and memo[0] is table:
+        return memo[1]
     out: dict = {}
     result = OperatorPoly(out)
     merged = result._merged
@@ -276,6 +290,7 @@ def normal_order(poly: OperatorPoly, table: CommutationTable) -> OperatorPoly:
         stack.append((word[:i] + (o2, o1) + word[i + 2:], coeff))
         if not c.is_zero():
             stack.append((word[:i] + word[i + 2:], coeff * c))
+    poly._normal = (table, result)
     return result
 
 
@@ -405,10 +420,20 @@ def vev(poly: OperatorPoly, rules: VacuumRules,
     momentum pairs do not commute, so word-by-word evaluation of an
     arbitrary presentation would be ordering-dependent.  A two-op word's
     sector value is computed once per (sector, _pattern_key) per call.
-    Raises UndeterminedByAxioms outside the evaluable fragment.
+    The normal form comes from normal_order's memo, so a vev of the same
+    poly under other rules does not normal-order it again.  Raises
+    DomainError when a normal-form coefficient's norm is not finite (the
+    polynomial overflowed) and UndeterminedByAxioms outside the
+    evaluable fragment.
     """
     ordered = normal_order(poly, table)
     norms = [coeff.norm() for coeff in ordered.terms.values()]
+    # each norm is tested: max() over a list holding NaN returns what comes first
+    if not all(map(math.isfinite, norms)):
+        word, norm = next((w, n) for w, n in zip(ordered.terms, norms)
+                          if not math.isfinite(n))
+        raise DomainError(f"normal form overflows: coefficient of "
+                          f"{list(word)} has norm {norm}")
     scale = max(norms, default=0.0)    # the value of ordered.max_norm()
     lambdas = (rules.lambda1.plus(), rules.lambda2.minus())
     values: dict = {}  # (sector, pattern) -> a two-op word's sector vev

@@ -486,6 +486,9 @@ def _sector_vev(word, sector: int, rules, table: CommutationTable) -> complex:
 def vev_reference(poly: OperatorPoly, rules, table: CommutationTable) -> Bicomplex:
     """operators.vev through normal_order_reference, summing ring objects."""
     ordered = normal_order_reference(poly, table)
+    for word, coeff in ordered.terms.items():
+        if not math.isfinite(coeff.norm()):
+            raise DomainError(f"normal form overflows at {list(word)}")
     scale = ordered.max_norm()
     total = Bicomplex.zero()
     for word, coeff in ordered.terms.items():

@@ -5,7 +5,9 @@ is compared with tests/algebra_reference.py by float.hex of each
 component, in insertion order, and so is every vev component, every
 commutator of two ladder operators, every Hamiltonian weight, and every
 term and value of the lattice field-commutator contraction.  Where a
-reference route raises, the production route raises the same error.
+reference route raises, the production route raises the same error:
+UndeterminedByAxioms outside the vacuum fragment, DomainError where a
+normal-form coefficient has overflowed.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hyperfield.commutators as fc
-from hyperfield.errors import UndeterminedByAxioms
+from hyperfield.errors import DomainError, UndeterminedByAxioms
 from hyperfield.modes import FieldParams
 from hyperfield.observables import (GeometrySpec, charge_poly,
                                     hamiltonian_poly, hamiltonian_terms)
@@ -97,7 +99,7 @@ def vev_outcome(fn, poly, rules, table):
     """The bits of a vev, or the type of the error it raised."""
     try:
         return bits(fn(poly, rules, table))
-    except UndeterminedByAxioms as exc:
+    except (DomainError, UndeterminedByAxioms) as exc:
         return type(exc)
 
 

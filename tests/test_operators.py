@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfield import operators
-from hyperfield.errors import UndeterminedByAxioms
+from hyperfield.errors import DomainError, UndeterminedByAxioms
 from hyperfield.modes import FieldParams
 from hyperfield.observables import GeometrySpec, hamiltonian_poly
 from hyperfield.operators import (CommutationTable, ModeOp, OperatorPoly,
                                   VacuumRules, commutator, generic_table,
-                                  normal_order, vev)
+                                  merge_pair, normal_order, vev)
 from hyperfield.ring import Bicomplex, J_MINUS, J_PLUS
 
 from algebra_reference import (anticommutator, commutator_with, merged_pair,
@@ -257,6 +257,20 @@ class TestVev:
         assert math.isfinite(big.norm())
         assert big.is_close(unit * Bicomplex(1e200), 1e-15 * big.norm())
 
+    @pytest.mark.parametrize("geom", [GeometrySpec("infinite_line"),
+                                      GeometrySpec("finite_interval", -1.0, 1.0)],
+                             ids=["infinite", "finite"])
+    def test_overflowing_polynomial_raises_domain_error(self, geom):
+        # m^2 overflows, and inf * 0 puts NaN into the empty sector, which
+        # the sector test cs != 0 took for a value to evaluate
+        table = CommutationTable(delta_k=0.1, N=2, stagger=True)
+        h = hamiltonian_poly(FieldParams(m=1e154, gamma=0.5), geom, table)
+        for rules in (VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j),
+                      VacuumRules.generic(Bicomplex(0.3, 0.4, 0.1, -0.2),
+                                          Bicomplex(-0.1, 0.8, 0.3, 0.05))):
+            with pytest.raises(DomainError, match="overflows"):
+                vev(h, rules, table)
+
     def test_outside_fragment_raises(self, table):
         rules = VacuumRules.generic(1.0, 1.0)
         with pytest.raises(UndeterminedByAxioms):
@@ -354,6 +368,88 @@ class TestPatternCalls:
         calls = self.calls_at_16_and_32_modes(
             monkeypatch, "_sector_vev", lambda h, table: vev(h, rules, table))
         assert calls[0] == calls[1] <= 64
+
+
+def _finite_h(table):
+    return hamiltonian_poly(FieldParams(m=1.1, gamma=0.6),
+                            GeometrySpec("finite_interval", -1.2, 1.3), table)
+
+
+class TestNormalFormMemo:
+    """normal_order keeps one (table, normal form) per polynomial."""
+
+    @staticmethod
+    def count_commutators(monkeypatch):
+        counted = []
+        fn = operators.commutator
+        monkeypatch.setattr(operators, "commutator",
+                            lambda *args: counted.append(args) or fn(*args))
+        return counted
+
+    def test_repeat_returns_the_same_object_without_commutators(
+            self, monkeypatch):
+        table = CommutationTable(delta_k=0.1, N=4, stagger=True)
+        h = _finite_h(table)
+        first = normal_order(h, table)
+        counted = self.count_commutators(monkeypatch)
+        assert normal_order(h, table) is first
+        assert counted == []
+
+    def test_another_table_object_recomputes(self, monkeypatch):
+        table = CommutationTable(delta_k=0.1, N=4, stagger=True)
+        h = _finite_h(table)
+        first = normal_order(h, table)
+        equal = CommutationTable(delta_k=0.1, N=4, stagger=True)
+        assert equal == table and equal is not table
+        counted = self.count_commutators(monkeypatch)
+        second = normal_order(h, equal)
+        assert second is not first and counted
+        assert list(second.terms.items()) == list(first.terms.items())
+
+    def test_merge_pair_resets_the_memo(self, table):
+        o1, o2 = ModeOp("a1", 1), ModeOp("b1", 1)
+        poly = OperatorPoly({(ModeOp("a2", 0), ModeOp("b2", 0)): J_MINUS})
+        before = normal_order(poly, table)
+        merge_pair(poly, o1, o2, J_PLUS)
+        after = normal_order(poly, table)
+        assert after is not before and (o1, o2) in after.terms
+        fresh = normal_order(OperatorPoly(dict(poly.terms)), table)
+        assert list(after.terms.items()) == list(fresh.terms.items())
+
+    def test_a_raising_rewrite_leaves_no_memo(self, monkeypatch):
+        table = CommutationTable(delta_k=0.1, N=2, stagger=True)
+        h = _finite_h(table)
+        fn, raised = operators.commutator, []
+
+        def fails_once(*args):
+            if not raised:
+                raised.append(args)
+                raise RuntimeError("commutator failed")
+            return fn(*args)
+
+        monkeypatch.setattr(operators, "commutator", fails_once)
+        with pytest.raises(RuntimeError):
+            normal_order(h, table)
+        assert h._normal is None
+        assert (list(normal_order(h, table).terms.items())
+                == list(normal_order(_finite_h(table), table).terms.items()))
+
+    @pytest.mark.parametrize("geom", [GeometrySpec("infinite_line"),
+                                      GeometrySpec("finite_interval", -1.2, 1.3)],
+                             ids=["infinite", "finite"])
+    def test_two_vevs_of_one_h_match_fresh_copies(self, geom):
+        table = CommutationTable(delta_k=0.1, N=4, stagger=True)
+        params = FieldParams(m=1.1, gamma=0.6)
+        rules = (VacuumRules.constrained_rules(0.8 - 0.3j, 0.2 + 1.1j),
+                 VacuumRules.generic(Bicomplex(0.3, 0.4, 0.1, -0.2),
+                                     Bicomplex(-0.1, 0.8, 0.3, 0.05)))
+        h = hamiltonian_poly(params, geom, table)
+        shared = [vev(h, r, table) for r in rules]
+        fresh = [vev(hamiltonian_poly(params, geom, table), r, table)
+                 for r in rules]
+        assert ([[c.hex() for c in v.to_tuple()] for v in shared]
+                == [[c.hex() for c in v.to_tuple()] for v in fresh])
+        assert not shared[1].is_zero()
 
 
 class TestPairCommutationCheck:
