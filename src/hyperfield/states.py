@@ -8,11 +8,13 @@ the anticommutator produces.  Distinct label multisets are orthonormal.
 
 The creation part of the evolution exponent acts as a commuting family of
 label appenders, so the truncated exponential is a plain multiset
-expansion with per-label scalar weights.  The state keeps those weights,
-and its Schmidt spectrum across a momentum cut is read off them through
-an (n+1) x (n+1) degree-block matrix per sector, never off the kets.  Its
-kets are listed, in the label-string order of a state dump, by a walk
-over the weights; no ket map is kept.
+expansion with per-label scalar weights.  Each momentum pair gives the
+four labels of both sectors and both orderings one weight, so the state
+keeps one weight per pair.  Its Schmidt spectrum across a momentum cut,
+shared by both sectors, is read off those weights through one
+(n+1) x (n+1) degree-block matrix, never off the kets.  Its kets are
+listed, in the label-string order of a state dump, by a walk over the
+weights; no ket map is kept.
 """
 
 from __future__ import annotations
@@ -36,20 +38,33 @@ BASIS_CAP = 200_000
 
 
 class StateVector:
-    """Truncated exponential of a creation exponent, held as its weights.
+    """Truncated exponential of a creation exponent, held as its pair weights.
 
-    weights maps each pair label (tag, k_index, kp_index, flag) of the
-    exponent to its complex weight z ({} for an empty exponent, whose
-    expansion is the vacuum alone).  The kets are never stored: kets()
-    walks them off the weights, and amplitudes, the map from sorted label
-    tuple (the vacuum's is ()) to Bicomplex amplitude, is rebuilt from
-    that walk on every read.
+    weights maps each momentum pair (k_index, kp_index) of the exponent
+    to its complex weight z, in sorted pair order ({} for an empty
+    exponent, whose expansion is the vacuum alone).  The pair's labels
+    (tag, k_index, kp_index, flag), both orderings in both sectors, all
+    carry z: '2ba' with a J+ ring amplitude, '1ab' with J-.  Mixed-sector
+    products vanish (J+ J- = 0), so the two sectors expand independently.
+    The kets are never stored: kets() walks them off the weights, and
+    amplitudes, the map from sorted label tuple (the vacuum's is ()) to
+    Bicomplex amplitude, is rebuilt from that walk on every read.
+
+    The basis size is checked against BASIS_CAP when the state is built,
+    from the multiset counts of both sectors, zero kets included: the
+    error names the lowest order whose basis exceeds the cap.
     """
 
     __slots__ = ("weights", "truncation_order")
 
-    def __init__(self, weights: dict, truncation_order: int):
-        self.weights = weights
+    def __init__(self, pairs: dict, truncation_order: int):
+        size, per_sector = 1, 2 * len(pairs)
+        for n in range(1, truncation_order + 1):
+            size += 2 * math.comb(per_sector + n - 1, n)
+            if size > BASIS_CAP:
+                raise TruncationOrderTooLarge(
+                    f"basis would exceed cap {BASIS_CAP} at order {n}")
+        self.weights = dict(sorted(pairs.items()))
         self.truncation_order = truncation_order
 
     @property
@@ -73,35 +88,6 @@ class StateVector:
         return {"truncation_order": self.truncation_order, "amplitudes": amps}
 
 
-def _label_text(label: tuple) -> str:
-    tag, i, j, flag = label
-    return f"{tag}:{i},{j},{flag}"
-
-
-def _expand_exponential(pairs: dict, order: int) -> StateVector:
-    """exp of a creation exponent with per-pair scalars, truncated.
-
-    pairs maps (k, kp) index pairs to complex weights.  Each pair gives the
-    labels (tag, k, kp, flag) of both orderings in both sectors: '2ba' with
-    a J+ ring amplitude, '1ab' with J-.  Mixed-sector products vanish
-    (J+ J- = 0), so the two sectors expand independently.  The basis size
-    is checked against BASIS_CAP from the multiset counts, zero kets
-    included, before any ket is listed.
-    """
-    size, per_sector = 1, 2 * len(pairs)
-    for _tag in (TAG_MIRROR, TAG_SYSTEM):
-        for n in range(1, order + 1):
-            size += math.comb(per_sector + n - 1, n)
-            if size > BASIS_CAP:
-                raise TruncationOrderTooLarge(
-                    f"basis would exceed cap {BASIS_CAP} at order {n}")
-    weights: dict = {}
-    for tag in (TAG_MIRROR, TAG_SYSTEM):
-        weights.update(sorted({(tag, i, j, flag): z for (i, j), z in pairs.items()
-                               for flag in (0, 1)}.items()))
-    return StateVector(weights, order)
-
-
 def _expansion_kets(weights: dict, order: int):
     """(label, key, amplitude) of the truncated exponential's nonzero kets.
 
@@ -110,23 +96,28 @@ def _expansion_kets(weights: dict, order: int):
     multiset before its extensions, and extends a prefix only by labels at
     or after its last in tuple order, taken in label-string order; since
     no label's text is a prefix of another's, that is the order of the
-    joined labels.  Each product forms left to right in tuple order, a
-    repeated label's run divides it through the multiplicity, and a zero
-    amplitude is skipped but still extended.
+    joined labels.  Both tags have three letters, so the two sectors share
+    one label order, built once.  Each product forms left to right in
+    tuple order, a repeated label's run divides it through the
+    multiplicity, and a zero amplitude is skipped but still extended.
     """
-    for tag in (TAG_SYSTEM, TAG_MIRROR):
-        labels = sorted(p for p in weights if p[0] == tag)
+    # the labels of one sector in tuple order, as (k, kp, flag) and weight
+    rows = [(i, j, flag) for i, j in weights for flag in (0, 1)]
+    zs = [z for z in weights.values() for _flag in (0, 1)]
+    texts = [f"{i},{j},{flag}" for i, j, flag in rows]
+    by_text = sorted(range(len(rows)), key=texts.__getitem__)
+    # the extensions of a prefix ending at row last, in label-string order;
+    # the stack takes them reversed, so it pops them in order.  Below order
+    # 2 only the root's row is read.
+    later = [[idx for idx in by_text if idx >= last]
+             for last in range(len(rows) if order > 1 else 1)]
+    for tag in (TAG_SYSTEM, TAG_MIRROR) if weights else ():
         plus = tag == TAG_MIRROR
-        zs = [weights[p] for p in labels]
-        names = [_label_text(p) for p in labels]
-        by_text = sorted(range(len(labels)), key=names.__getitem__)
-        # the extensions of a prefix ending at labels[last], in label-string
-        # order; the stack takes them reversed, so it pops them in order
-        later = [[idx for idx in by_text if idx >= last]
-                 for last in range(len(labels))]
-        # a prefix is (text, key, index of its last label, scalar,
+        labels = [(tag, i, j, flag) for i, j, flag in rows]
+        names = [f"{tag}:{text}" for text in texts]
+        # a prefix is (text, key, row of its last label, scalar,
         # multiplicity, run of its last label)
-        stack = [("", (), 0, complex(1.0), 1, 0)] if labels else []
+        stack = [("", (), 0, complex(1.0), 1, 0)]
         while stack:
             text, key, last, scalar, mult, run = stack.pop()
             if key:
@@ -162,7 +153,7 @@ def evolve_vacuum(t: float, order: int, params: FieldParams,
         z = 1j * t * w.conjugate()
         if z != 0:
             pairs[(i, j)] = z
-    return _expand_exponential(pairs, order)
+    return StateVector(pairs, order)
 
 
 def norm_preservation(t: float, order: int, params: FieldParams,
@@ -231,7 +222,7 @@ def asymptotic_state_finite(order: int, params: FieldParams, L1: float,
             kern = geometry_kernel(2.0 * k, geom).conjugate()
             zc = dk * (w / abs(k)) * h_gamma(k, -k, params).conjugate() * kern
             pairs[(i, table.mirror_index(i))] = zc
-    return _expand_exponential(pairs, order)
+    return StateVector(pairs, order)
 
 
 def project_view(state: StateVector, side: str) -> dict:
@@ -310,43 +301,41 @@ def _degree_norms(zs: list, order: int) -> list:
     return out
 
 
-def schmidt_spectrum(state: StateVector, partition: set) -> list:
-    """Singular values per sector (plus: tag '2ba', minus: '1ab'),
-    descending, across a momentum-index cut: a pair label goes left when
+def schmidt_spectrum(state: StateVector, partition: set) -> np.ndarray:
+    """Singular values across a momentum-index cut, descending, shared by
+    both sectors (plus: tag '2ba', minus: '1ab'): a pair goes left when
     its first momentum index lies in the partition.
 
-    Read off the label weights, not the kets.  A ket's sector amplitude is
-    the product of its left and right multisets' amplitudes, so the sector
+    Read off the pair weights, not the kets.  A ket's sector amplitude is
+    the product of its left and right multisets' amplitudes, so a sector's
     matrix over (left, right) multisets reduces exactly to the
     (n+1) x (n+1) matrix T_ab = sqrt(F_a G_b) [a + b <= n] of the left
-    (right) _degree_norms F (G) at truncation order n.  Raises DomainError
-    when a sector's largest value is not finite (the norm overflows).
+    (right) _degree_norms F (G) at truncation order n.  Each pair gives
+    both sectors the same two labels' weights, so both sectors have this
+    one T.  Raises DomainError when the largest value is not finite (the
+    norm overflows).
     """
     n = state.truncation_order
-    spectra = []
-    for tag in (TAG_MIRROR, TAG_SYSTEM):
-        sides = ([], [])
-        for (label_tag, i, _j, _flag), z in state.weights.items():
-            if label_tag == tag:
-                sides[i not in partition].append(z)
-        f, g = (_degree_norms(zs, n) for zs in sides)
-        # float products, which overflow to inf without a warning
-        mat = np.array([[fa * gb if a + b <= n else 0.0
-                         for b, gb in enumerate(g)] for a, fa in enumerate(f)])
-        # an overflowed entry means an overflowed norm, which LAPACK cannot take
-        sv = (np.linalg.svd(mat, compute_uv=False) if np.isfinite(mat).all()
-              else [math.inf])
-        if not math.isfinite(sv[0]):
-            raise DomainError(f"Schmidt spectrum of a state whose norm "
-                              f"overflows: largest singular value {sv[0]}")
-        spectra.append(sv)
-    return spectra
+    sides = ([], [])
+    for (i, _j), z in state.weights.items():
+        sides[i not in partition].extend((z, z))  # both orderings
+    f, g = (_degree_norms(zs, n) for zs in sides)
+    # float products, which overflow to inf without a warning
+    mat = np.array([[fa * gb if a + b <= n else 0.0
+                     for b, gb in enumerate(g)] for a, fa in enumerate(f)])
+    # an overflowed entry means an overflowed norm, which LAPACK cannot take
+    sv = (np.linalg.svd(mat, compute_uv=False) if np.isfinite(mat).all()
+          else [math.inf])
+    if not math.isfinite(sv[0]):
+        raise DomainError(f"Schmidt spectrum of a state whose norm "
+                          f"overflows: largest singular value {sv[0]}")
+    return sv
 
 
 def schmidt_rank(state: StateVector, partition: set) -> int:
-    """Schmidt rank: the larger count, over the two sectors of
-    schmidt_spectrum, of values above 1e-10 times the sector's largest (a
-    relative cutoff, so round-off on large amplitudes is not counted).
+    """Schmidt rank: the count of schmidt_spectrum's values above 1e-10
+    times its largest (a relative cutoff, so round-off on large amplitudes
+    is not counted), the rank in each sector.
 
     In exact arithmetic it is n + 1 whenever both sides of the cut carry a
     nonzero weight (T is anti-triangular with a nonzero anti-diagonal) and
@@ -354,5 +343,5 @@ def schmidt_rank(state: StateVector, partition: set) -> int:
     sides, entangled by the truncation: the untruncated exponential is a
     product state in each sector.
     """
-    return max(int((sv > 1e-10 * sv[0]).sum())
-               for sv in schmidt_spectrum(state, partition))
+    sv = schmidt_spectrum(state, partition)
+    return int((sv > 1e-10 * sv[0]).sum())

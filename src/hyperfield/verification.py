@@ -332,8 +332,9 @@ def _states_lattice(n_max: int = 4) -> CommutationTable:
 # -- 8: unitarity / alignment -------------------------------------------------
 
 def _pair_sums(name: str, state: st.StateVector, z: list) -> tuple:
-    """Check that per sector the n-pair amplitudes sum to (sum z)^n / n!
-    to 1e-12 of (sum |z|)^n / n!, z the label weights (two per pair).
+    """Check that per sector the n-pair amplitudes sum to (2 sum z)^n / n!
+    to 1e-12 of (2 sum |z|)^n / n!, z the pair weights: each pair gives a
+    sector two labels of weight z, one per ordering.
     One walk of the kets groups them by sector and degree, each group in
     walk order."""
     s, a = 2.0 * sum(z), 2.0 * sum(map(abs, z))

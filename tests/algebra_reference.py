@@ -15,7 +15,8 @@ ring-object routes of the state expansion and the inner product, which
 the package replaced by closed forms, and the breadth-first expansion
 into a ket map that the package replaced by a depth-first walk in dump
 order; the Schmidt spectrum from the
-ket-by-ket matrix, which the package reads off the label weights; the
+ket-by-ket matrix per sector, which the package reads off the pair
+weights as one spectrum that both sectors share; the
 ring property suite in Fraction arithmetic, which the package runs on
 integers, and a broken product that fails it.  Last, the ring element
 built from its two idempotent sectors, and the ring element as the frozen

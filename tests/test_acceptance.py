@@ -147,7 +147,7 @@ def _unconjugated_double_weight(monkeypatch):
     def seeded(t, order, params, geom, table):
         pairs = {(i, j): 2j * t * w for i, j, w
                  in states.hamiltonian_terms(params, geom, table, t)}
-        return states._expand_exponential(pairs, order)
+        return states.StateVector(pairs, order)
     monkeypatch.setattr(vf, "evolve_vacuum", seeded)
 
 
@@ -237,8 +237,8 @@ def _rank_without_left_labels(monkeypatch):
 
 
 def _rank_counting_zero_values(monkeypatch):
-    monkeypatch.setattr(vf, "schmidt_rank", lambda state, partition: max(
-        map(len, states.schmidt_spectrum(state, partition))))
+    monkeypatch.setattr(vf, "schmidt_rank", lambda state, partition: len(
+        states.schmidt_spectrum(state, partition)))
 
 
 def _edited_diagnostics(monkeypatch, edit):

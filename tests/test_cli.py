@@ -148,6 +148,21 @@ class TestEvolve:
         assert r.returncode == 0
         assert "diverges" in r.stderr
 
+    def test_cap_error_names_the_lowest_order_over_the_cap(self, tmp_path,
+                                                           capsys):
+        # 52 modes, 104 labels a sector: 1 + 2 (104 + 5460) = 11129 kets
+        # fit at order 2, and order 3 adds 2 * 192920.  Counting one sector
+        # through every order before the other named order 2.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"N": 26}))
+        args = ["--config", str(cfg), "evolve", "--t", "0.1", "--output",
+                str(tmp_path / "s.json"), "--order"]
+        assert main([*args, "2"]) == 0
+        assert " kets=11129 " in capsys.readouterr().out
+        assert main([*args, "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: basis would exceed cap 200000 at order 3\n")
+
     def test_large_time_warns_and_exits_0(self, tmp_path):
         r = run_cli(["evolve", "--t", "10000", "--order", "1"], tmp_path)
         assert r.returncode == 0, r.stderr

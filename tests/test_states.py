@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestEvolveVacuum:
 
     def test_basis_cap(self, params, table, monkeypatch):
         monkeypatch.setattr(states, "BASIS_CAP", 100)
-        # 1 + 16 kets fit; degree 2 of the first sector would make 153
+        # 1 + 2 * 16 = 33 kets fit at order 1; order 2 would make 305
         with pytest.raises(TruncationOrderTooLarge,
                            match=r"^basis would exceed cap 100 at order 2$"):
             evolve_vacuum(0.7, 3, params, GEOM, table)
@@ -68,14 +69,31 @@ class TestEvolveVacuum:
     def test_basis_cap_counts_zero_kets(self, monkeypatch):
         # degree-2 and degree-3 products of these weights underflow to zero:
         # the breadth-first route counted nonzero kets, 29 at most, and
-        # passed; every multiset counts now, 1 + (4 + 10 + 20) + (4 + 10)
-        # = 49 > 40 at order 2 of the second sector
+        # passed; every multiset counts now, both sectors at each order:
+        # 1 + 2 (4 + 10) = 29 fit at order 2, + 2 * 20 = 69 > 40 at order 3
         monkeypatch.setattr(states, "BASIS_CAP", 40)
         pairs = {(0, 0): complex(1e-200), (1, 1): complex(1e-200)}
         assert len(ref.expand_exponential_breadth_first(pairs, 3)) == 9
+        assert len(StateVector(pairs, 2).amplitudes) == 9
         with pytest.raises(TruncationOrderTooLarge,
-                           match=r"^basis would exceed cap 40 at order 2$"):
-            states._expand_exponential(pairs, 3)
+                           match=r"^basis would exceed cap 40 at order 3$"):
+            StateVector(pairs, 3)
+
+    def test_listing_below_order_two_builds_no_extension_table(self, params):
+        # 2000 modes, 4000 labels a sector: a table of each label's later
+        # labels, 8e6 entries, peaked at 137 MB under tracemalloc even at
+        # order 0; the listing alone peaks at 1.8 MB
+        table = CommutationTable(delta_k=0.1, N=1000, stagger=True)
+        for order, kets in ((0, 1), (1, 8001)):
+            state = evolve_vacuum(0.01, order, params, GEOM, table)
+            tracemalloc.start()
+            try:
+                count = sum(1 for _ in state.kets())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert count == kets
+            assert peak < 8e6, peak
 
     def test_riemann_refinement(self, params):
         def total_first_order(dk, n):
@@ -321,11 +339,11 @@ class TestSchmidtOracle:
         assert schmidt_rank(state, cut) == ref.schmidt_rank_dense(amps, cut)
         got = states.schmidt_spectrum(state, cut)
         want = ref.schmidt_spectrum_dense(amps, cut)
-        assert len(got) == len(want) == 2
-        for g, w in zip(got, want):
+        assert len(want) == 2
+        for w in want:  # the one spectrum is each sector's
             # the nonzero values agree; either side's surplus is zeros
-            size = max(len(g), len(w))
-            g, w = (np.pad(v, (0, size - len(v))) for v in (g, w))
+            size = max(len(got), len(w))
+            g, w = (np.pad(v, (0, size - len(v))) for v in (got, w))
             assert np.abs(g - w).max() <= SPECTRUM_TOL * w[0], (g, w)
 
     @pytest.mark.parametrize("builder", ["evolve", "asymptotic"])
@@ -335,9 +353,9 @@ class TestSchmidtOracle:
             self.assert_matches(state, cut)
 
     def test_vacuum_and_empty_exponent(self):
-        for state in (_vacuum(), states._expand_exponential({}, 3)):
-            assert [list(sv) for sv in states.schmidt_spectrum(state, {0})] \
-                == [[1.0] + [0.0] * state.truncation_order] * 2
+        for state in (_vacuum(), StateVector({}, 3)):
+            assert list(states.schmidt_spectrum(state, {0})) \
+                == [1.0] + [0.0] * state.truncation_order
             self.assert_matches(state, {0})
 
 
@@ -352,7 +370,8 @@ def test_rank_decomposes_degree_blocks_only(monkeypatch):
                                     -1.0, 2.0, table)
     for cut in _cuts(table).values():
         assert schmidt_rank(state, cut) == 4
-    assert shapes and all(rows <= 4 and cols <= 4 for rows, cols in shapes)
+    # one SVD per rank, shared by both sectors
+    assert shapes == [(4, 4)] * len(_cuts(table))
 
 
 class TestAsymptoticInfinite:
@@ -442,15 +461,15 @@ def _in_order_of(state, amps: dict) -> dict:
 
 
 def _expanded(monkeypatch, build):
-    """Run build(); return the (pairs, order) it expanded and its state."""
+    """Run build(); return the (pairs, order) its StateVector was built
+    from and the state."""
     seen = []
-    expand = states._expand_exponential
 
     def spy(pairs, order):
         seen.append((pairs, order))
-        return expand(pairs, order)
+        return StateVector(pairs, order)
 
-    monkeypatch.setattr(states, "_expand_exponential", spy)
+    monkeypatch.setattr(states, "StateVector", spy)
     state = build()
     (pairs, order), = seen
     return pairs, order, state
@@ -518,7 +537,7 @@ class TestAgainstRingRoutes:
                       {(0, 0): complex(0.0, -0.0), (1, 1): complex(inf, 0.5),
                        (2, 2): complex(-1.5, 0.25)}):
             for order in (1, 2, 3, 4):
-                state = states._expand_exponential(pairs, order)
+                state = StateVector(pairs, order)
                 want = _in_order_of(state,
                                     ref.expand_exponential_ring(pairs, order))
                 assert _hexes(state.amplitudes) == _hexes(want)
@@ -562,8 +581,7 @@ def test_walk_matches_breadth_first_map_and_dump(monkeypatch, tmp_path, case,
     table, build = WALK_CASES[case]
     pairs, _, state = _expanded(monkeypatch, lambda: build(order, table))
     want = ref.expand_exponential_breadth_first(pairs, order)
-    labels = sorted(state.weights)
-    assert sorted(labels, key=lambda p: f"{p[0]}:{p[1]},{p[2]},{p[3]}") != labels
+    assert sorted(pairs, key=lambda p: f"{p[0]},{p[1]},0") != sorted(pairs)
 
     out = tmp_path / "state.json"
     dev, kets, _, _ = cli._dump_state(state, table, argparse.Namespace(
@@ -573,9 +591,7 @@ def test_walk_matches_breadth_first_map_and_dump(monkeypatch, tmp_path, case,
         want, order).splitlines(True)
     assert kets == len(want)
 
-    assert list(state.weights.items()) == [
-        ((tag, i, j, flag), z) for tag in (TAG_MIRROR, TAG_SYSTEM)
-        for (i, j), z in sorted(pairs.items()) for flag in (0, 1)]
+    assert list(state.weights.items()) == sorted(pairs.items())
     assert dict(_hexes(state.amplitudes)) == dict(_hexes(want))
     assert list(state.amplitudes) == sorted(want, key=ref.ket_label)
     assert dev.hex() == states.amplitude_norm_deviation(
